@@ -13,8 +13,8 @@ intentional changes with::
 
 and walk through the numbers in docs/PREDICTION.md. The sweep is
 deterministic in its seed, so the committed file only changes when the
-predictor, placement, or engine code changes meaningfully;
-``scripts/compare_bench.py`` gates the per-cell JCTs in CI.
+predictor, placement, or engine code changes meaningfully; CI requires
+a serial regeneration to reproduce every row exactly.
 """
 
 from __future__ import annotations

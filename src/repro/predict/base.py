@@ -104,7 +104,11 @@ class StaticTablePredictor(LifetimePredictor):
 
     def survival(self, age: float, horizon: float) -> float:
         age = max(0.0, age)
-        s_age = 1.0 - self.model.cdf(age)
+        return self._conditional(age, 1.0 - self.model.cdf(age), horizon)
+
+    def _conditional(self, age: float, s_age: float,
+                     horizon: float) -> float:
+        """:meth:`survival` at a clamped ``age`` given ``S(age)``."""
         if s_age <= 0.0:
             return 0.0
         s_later = 1.0 - self.model.cdf(age + max(0.0, horizon))
@@ -113,12 +117,15 @@ class StaticTablePredictor(LifetimePredictor):
     def expected_remaining(self, age: float) -> float:
         # E[T - age | T > age] = integral of survival(age, u) du. Find a
         # cap where survival has effectively hit zero by doubling, then
-        # integrate with the trapezoid rule.
+        # integrate with the trapezoid rule. S(age) is the same for
+        # every point, so it is computed once.
         age = max(0.0, age)
+        s_age = 1.0 - self.model.cdf(age)
         cap = max(self.horizon, 60.0)
-        while self.survival(age, cap) > 0.01 and cap < INTEGRATION_CAP:
+        while (self._conditional(age, s_age, cap) > 0.01
+               and cap < INTEGRATION_CAP):
             cap *= 2.0
-        if self.survival(age, cap) > 0.5:
+        if self._conditional(age, s_age, cap) > 0.5:
             # Survival never decays (e.g. NoEvictionModel): no finite mean.
             return math.inf
         steps = 256
@@ -126,7 +133,7 @@ class StaticTablePredictor(LifetimePredictor):
         total = 0.0
         prev = 1.0
         for i in range(1, steps + 1):
-            cur = self.survival(age, i * dt)
+            cur = self._conditional(age, s_age, i * dt)
             total += 0.5 * (prev + cur) * dt
             prev = cur
         return total

@@ -36,6 +36,9 @@ class HazardPredictor(LifetimePredictor):
     beyond ``max_age`` the hazard is extrapolated as constant (the last
     estimated bin). Refitting is lazy: observations mark the model dirty
     and the next query refits in one O(samples + bins) pass.
+    :meth:`expected_remaining` is memoized on the clamped age until the
+    next observation, so the prior must be a pure function of its
+    (non-negative) age argument.
     """
 
     def __init__(self, bin_seconds: float = 30.0, max_age: float = 7200.0,
@@ -58,6 +61,8 @@ class HazardPredictor(LifetimePredictor):
         self._hazard: list[float] = [0.0] * self._nbins
         self._cumhaz: list[float] = [0.0] * (self._nbins + 1)
         self._tail_hazard = 0.0
+        #: clamped age -> ``expected_remaining``; :meth:`observe` clears it.
+        self._remaining: dict[float, float] = {}
 
     # ------------------------------------------------------------------
     # observation stream
@@ -69,6 +74,7 @@ class HazardPredictor(LifetimePredictor):
         if not censored:
             self._evicted += 1
         self._dirty = True
+        self._remaining.clear()
 
     @property
     def observation_count(self) -> int:
@@ -161,13 +167,24 @@ class HazardPredictor(LifetimePredictor):
         return math.exp(-delta)
 
     def expected_remaining(self, age: float) -> float:
+        # Between two observations the answer depends only on the
+        # clamped age: the fit, ``fitted`` and the prior change only in
+        # observe(), which clears the memo. So each distinct age is
+        # computed once per observation epoch, bit-identically.
+        age = max(0.0, age)
+        remaining = self._remaining.get(age)
+        if remaining is None:
+            remaining = self._remaining[age] = self._integrate(age)
+        return remaining
+
+    def _integrate(self, age: float) -> float:
+        """Mean residual lifetime at a clamped ``age``, uncached."""
         if not self.fitted:
             if self.prior is not None:
                 return self.prior.expected_remaining(age)
             return math.inf
         if self._dirty:
             self._refit()
-        age = max(0.0, age)
         width = self.bin_seconds
         # Trapezoid over the binned range, then the constant-hazard tail
         # in closed form: remaining mass s at max_age contributes s / λ.

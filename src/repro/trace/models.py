@@ -197,11 +197,18 @@ class WaveLifetimeModel(LifetimeModel):
     def __init__(self, waves: Sequence[tuple[float, float]]) -> None:
         pts = sorted((float(t), float(s)) for t, s in waves)
         for t, severity in pts:
-            if t < 0:
+            if not t >= 0.0:
                 raise ValueError("wave offsets must be non-negative")
             if not 0.0 < severity <= 1.0:
                 raise ValueError("wave severity must lie in (0, 1]")
         self.waves = tuple(pts)
+        # Waves are sorted, so the ones elapsed by any time form a
+        # prefix: _survive[k] is the survival product over the first k,
+        # multiplied in wave order.
+        self._offsets = [t for t, _ in pts]
+        self._survive = [1.0]
+        for _, severity in pts:
+            self._survive.append(self._survive[-1] * (1.0 - severity))
 
     def sample_at(self, now: float, rng: np.random.Generator) -> float:
         """Lifetime (seconds from ``now``) for a container launched at
@@ -224,11 +231,10 @@ class WaveLifetimeModel(LifetimeModel):
     def cdf(self, t_seconds: float) -> float:
         """Probability a container launched at time zero dies by
         ``t_seconds``: one minus the survival product over elapsed waves."""
-        survive = 1.0
-        for t, severity in self.waves:
-            if t <= t_seconds:
-                survive *= 1.0 - severity
-        return 1.0 - survive
+        if t_seconds != t_seconds:
+            return 0.0  # NaN: no wave has elapsed
+        elapsed = bisect.bisect_right(self._offsets, t_seconds)
+        return 1.0 - self._survive[elapsed]
 
     def __repr__(self) -> str:
         return f"WaveLifetimeModel(waves={len(self.waves)})"

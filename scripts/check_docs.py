@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint, run as part of the tier-1 test suite.
 
-Checks two things, with zero dependencies beyond the standard library:
+Checks three things:
 
 * every package under ``src/repro/`` (every directory with an
   ``__init__.py``) is mentioned by its dotted name in
@@ -9,15 +9,24 @@ Checks two things, with zero dependencies beyond the standard library:
   fails the build;
 * every fenced ``python`` code block in ``README.md`` and ``docs/*.md``
   is syntactically valid (``compile()`` succeeds), so documented
-  examples cannot rot into syntax errors silently.
+  examples cannot rot into syntax errors silently;
+* every ``python -m repro ...`` command line in ``README.md``,
+  ``docs/*.md`` and ``.claude/skills/verify/SKILL.md`` — in a shell code
+  block or an inline code span — parses with the CLI's real argparse
+  parser (``repro.__main__.build_parser``), so a removed flag or mode
+  cannot linger in the docs. This check imports ``repro`` from
+  ``src/``; the other two need only the standard library.
 
 Exit status 0 when clean; prints each problem and exits 1 otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import re
+import shlex
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -25,6 +34,14 @@ SRC = REPO / "src" / "repro"
 ARCHITECTURE = REPO / "docs" / "ARCHITECTURE.md"
 
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+#: Any fenced block: ``(info string, body)``.
+ANY_FENCE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
+INLINE_CODE = re.compile(r"`([^`]+)`")
+#: A command line: optional ``VAR=value`` prefixes, then the module call.
+COMMAND = re.compile(r"^(?:\w+=\S*\s+)*python3? -m repro(?=\s|$)(.*)$",
+                     re.DOTALL)
+#: Shell tokens that end the ``python -m repro`` part of a line.
+SHELL_STOPS = {"|", "||", "&&", ";", "&", ">", ">>", "2>", "<"}
 
 
 def repro_packages() -> list[str]:
@@ -67,15 +84,86 @@ def check_code_blocks() -> list[str]:
     return problems
 
 
+def cli_documents() -> list[pathlib.Path]:
+    documents = ([REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+                 + [REPO / ".claude" / "skills" / "verify" / "SKILL.md"])
+    return [document for document in documents if document.exists()]
+
+
+def cli_command_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, argv text after 'python -m repro')`` for every
+    command line in a markdown document: each line of a non-python
+    fenced block (backslash continuations joined) and each inline code
+    span that starts with the command."""
+    found = []
+    for match in ANY_FENCE.finditer(text):
+        if match.group(1).strip() == "python":
+            continue
+        first = text[:match.start(2)].count("\n") + 1
+        pending, start = "", first
+        for offset, line in enumerate(match.group(2).splitlines()):
+            if not pending:
+                start = first + offset
+            if line.endswith("\\"):
+                pending += line[:-1] + " "
+                continue
+            command = COMMAND.match((pending + line).strip())
+            pending = ""
+            if command:
+                found.append((start, command.group(1)))
+    outside = ANY_FENCE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    for match in INLINE_CODE.finditer(outside):
+        command = COMMAND.match(" ".join(match.group(1).split()))
+        if command:
+            line = outside[:match.start()].count("\n") + 1
+            found.append((line, command.group(1)))
+    return found
+
+
+def cli_argv(rest: str) -> list[str]:
+    """Shell-split the arguments, dropping comments and anything after a
+    pipe, redirect or command separator."""
+    argv = []
+    for token in shlex.split(rest, comments=True):
+        if token in SHELL_STOPS or token.startswith((">", "2>")):
+            break
+        argv.append(token)
+    return argv
+
+
+def check_cli_command_lines() -> list[str]:
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from repro.__main__ import build_parser
+    parser = build_parser()
+    problems = []
+    for document in cli_documents():
+        for line, rest in cli_command_lines(document.read_text()):
+            stderr = io.StringIO()
+            try:
+                argv = cli_argv(rest)          # ValueError: unclosed quote
+                if argv:                       # else a bare mention
+                    with contextlib.redirect_stderr(stderr):
+                        parser.parse_args(argv)
+            except (SystemExit, ValueError) as exc:
+                reason = stderr.getvalue().strip().splitlines()
+                problems.append(
+                    f"{document.relative_to(REPO)} line {line}: "
+                    f"`python -m repro{rest.rstrip()}` does not parse: "
+                    f"{reason[-1] if reason else exc}")
+    return problems
+
+
 def main() -> int:
-    problems = check_architecture_mentions() + check_code_blocks()
+    problems = (check_architecture_mentions() + check_code_blocks()
+                + check_cli_command_lines())
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
     if problems:
         return 1
     packages = repro_packages()
     print(f"check_docs: OK ({len(packages)} packages documented, "
-          f"code blocks parse)")
+          f"code blocks and CLI command lines parse)")
     return 0
 
 

@@ -8,13 +8,11 @@ Usage::
     python -m repro sweep --workload mr --averaged --workers 4 --cache .cache
     python -m repro mtsweep --policy fair --load 0.8 [--eviction high]
     python -m repro mtsweep --reserve fixed,elastic --load 0.8,1.1
-    python -m repro mtsweep --workers 8 --speculate on   # async dispatch
+    python -m repro mtsweep --workers 2 --out cells.json
     python -m repro psweep [--pworkloads fanout] [--out BENCH.json]
     python -m repro fig9xl [--fleet 10000] [--hours 1.75]
     python -m repro profile fig7 [--profile-limit 40] [--profile-out f.pstats]
     python -m repro profile mtsweep --policy fair --load 0.8 --jobs 20
-    python -m repro mtsweep --job-dir /shared/jobs     # distributed dispatch
-    python -m repro sweep-worker /shared/jobs [--once]
     python -m repro all
 
 Each experiment prints the same rows the paper reports; see EXPERIMENTS.md
@@ -23,16 +21,12 @@ job additionally records a structured event trace (see docs/OBSERVABILITY.md)
 and dumps one ``<label>.jsonl`` plus one Chrome/Perfetto-loadable
 ``<label>.trace.json`` per run into DIR.
 
-Every sweep-style experiment (fig5-9, ablations, sweep) accepts
-``--workers N`` to fan independent simulations out over worker processes
-(one warm pool per invocation) and ``--cache DIR`` to memoize completed
-runs on disk (see docs/PERFORMANCE.md); results are bit-identical to the
-serial path. ``--job-dir DIR`` switches dispatch to the distributed
-jobfile backend: chunks are published under DIR and any number of
-``python -m repro sweep-worker DIR`` processes (on any machine sharing
-DIR) pick them up; the submitting process drains the queue itself, so
-workers accelerate but are never required. A wall-clock timing summary
-for every runner-backed experiment goes to stderr.
+Every sweep-style experiment (fig5-9, ablations, sweep, mtsweep, psweep)
+accepts ``--workers N`` to run independent simulations on one pool of
+``min(N, cores)`` worker processes (0, the default, runs serially) and
+``--cache DIR`` to memoize completed runs on disk (see
+docs/PERFORMANCE.md). A wall-clock timing summary for every
+runner-backed experiment goes to stderr.
 """
 
 from __future__ import annotations
@@ -61,16 +55,7 @@ AVERAGED_HEADERS = ["workload", "eviction", "engine", "JCT (m)",
 
 
 def _runner_for(args) -> SweepRunner:
-    if args.job_dir is not None:
-        return SweepRunner(workers=args.workers, cache_dir=args.cache,
-                           backend="jobfile", job_dir=args.job_dir)
-    # Speculative dispatch drives the pool through the futures API with
-    # many small submissions, so bring workers up lazily and only as many
-    # as the hardware can actually run (see docs/PERFORMANCE.md).
-    scaling = ("elastic" if getattr(args, "speculate", "off") == "on"
-               else "eager")
-    return SweepRunner(workers=args.workers, cache_dir=args.cache,
-                       pool_scaling=scaling)
+    return SweepRunner(workers=args.workers, cache_dir=args.cache)
 
 
 def _finish_runner(runner: SweepRunner) -> None:
@@ -82,7 +67,8 @@ def _finish_runner(runner: SweepRunner) -> None:
           f"{stats.mean_spec_seconds * 1e3:.1f} ms/spec, "
           f"{stats.pool_startup_seconds:.2f}s pool startup "
           f"({stats.pools_started} pool(s), {stats.batches} batch(es), "
-          f"{stats.chunks} chunk(s))", file=sys.stderr)
+          f"{stats.chunks} chunk(s), {stats.cache_corrupt} corrupt cache "
+          f"entries)", file=sys.stderr)
     runner.close()
 
 
@@ -186,9 +172,8 @@ def _run_mtsweep(args) -> str:
                                                   num_jobs=args.jobs,
                                                   seed=args.seed,
                                                   reserve=reserve)
-                        result = run_multitenant_cell(
-                            config, runner=runner,
-                            speculate=args.speculate == "on")
+                        result = run_multitenant_cell(config,
+                                                      runner=runner)
                         summaries.append(cell_summary(config, result))
                         parts.append(jct_table(
                             result,
@@ -219,8 +204,7 @@ def _run_psweep(args) -> str:
                  else SWEEP_WORKLOADS)
     try:
         rows = prediction_sweep(workloads=workloads, scale=args.scale,
-                                seed=args.seed, runner=runner,
-                                speculate=args.speculate == "on")
+                                seed=args.seed, runner=runner)
     finally:
         _finish_runner(runner)
     parts = [prediction_table(
@@ -363,20 +347,19 @@ def _run_profiled(name: str, args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser (``scripts/check_docs.py`` parses every
+    documented ``python -m repro`` command line with it)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the Pado paper's tables and figures.")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["list", "all",
-                                                       "profile",
-                                                       "sweep-worker"],
-                        help="experiment id, 'list', 'all', 'profile', or "
-                             "'sweep-worker'")
+                                                       "profile"],
+                        help="experiment id, 'list', 'all', or 'profile'")
     parser.add_argument("target", nargs="?", default=None,
                         help="with 'profile': the experiment to profile "
-                             "under cProfile; with 'sweep-worker': the "
-                             "shared job directory to serve")
+                             "under cProfile")
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale override (default: bench "
                              "scales)")
@@ -385,26 +368,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="record per-run event traces and write "
                              "JSONL + Chrome trace files into DIR")
     parser.add_argument("--workers", type=int, default=0,
-                        help="fan independent simulations out over N "
-                             "worker processes (0 = serial)")
+                        help="run independent simulations on a pool of "
+                             "min(N, cores) worker processes (0 = serial)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="memoize completed simulations in DIR; "
                              "re-runs only simulate what changed")
-    parser.add_argument("--job-dir", metavar="DIR", default=None,
-                        help="dispatch simulations through the distributed "
-                             "jobfile backend rooted at DIR (pair with "
-                             "'sweep-worker DIR' processes; see "
-                             "docs/PERFORMANCE.md)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="for sweep/mtsweep/psweep: also write rows "
                              "plus runner timing as JSON to FILE (how the "
                              "committed benchmarks/BENCH_*.json sweeps are "
                              "regenerated)")
-    parser.add_argument("--speculate", default="off", choices=("on", "off"),
-                        help="for mtsweep/psweep: pre-execute predicted "
-                             "dispatches on idle workers between outer-loop "
-                             "instants (results are bit-identical; see "
-                             "docs/PERFORMANCE.md)")
     sweep_args = parser.add_argument_group(
         "sweep", "options for the 'sweep' experiment")
     sweep_args.add_argument("--workload", default="mr",
@@ -452,15 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     xl_args.add_argument("--hours", type=float, default=1.75,
                          help="simulated hours of churn + shuffle "
                               "(default: 1.75, >1M events)")
-    worker_args = parser.add_argument_group(
-        "sweep-worker", "options for the 'sweep-worker' mode")
-    worker_args.add_argument("--once", action="store_true",
-                             help="drain the queue and exit instead of "
-                                  "polling forever")
-    worker_args.add_argument("--claim-timeout", type=float, default=120.0,
-                             help="seconds before a stalled claim is "
-                                  "assumed crashed and re-queued "
-                                  "(default: 120)")
     profile_args = parser.add_argument_group(
         "profile", "options for the 'profile' mode")
     profile_args.add_argument("--profile-sort", default="cumulative",
@@ -469,25 +433,20 @@ def main(argv: list[str] | None = None) -> int:
                               help="number of stat lines to print")
     profile_args.add_argument("--profile-out", metavar="FILE", default=None,
                               help="also dump raw pstats data to FILE")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.experiment == "sweep-worker":
-        if args.target is None:
-            parser.error("sweep-worker needs a job directory to serve")
-        from repro.bench.runner import sweep_worker_loop
-        completed = sweep_worker_loop(args.target, cache_dir=args.cache,
-                                      once=args.once,
-                                      claim_timeout=args.claim_timeout)
-        print(f"[sweep-worker] {completed} chunk(s) completed")
-        return 0
     if args.experiment == "profile":
         if args.target not in EXPERIMENTS:
             parser.error("profile needs an experiment to profile, one of: "
                          + ", ".join(sorted(EXPERIMENTS)))
         return _run_profiled(args.target, args)
     if args.target is not None:
-        parser.error("a second positional is only valid with 'profile' "
-                     "or 'sweep-worker'")
+        parser.error("a second positional is only valid with 'profile'")
     if args.experiment == "list":
         for name, (description, _) in sorted(EXPERIMENTS.items()):
             print(f"{name:10s} {description}")

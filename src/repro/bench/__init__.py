@@ -19,17 +19,16 @@ from repro.bench.multitenant import (cell_summary, jct_table,
                                      make_cell_config, multitenant_sweep,
                                      run_multitenant_cell, spec_for_job,
                                      sweep_executor)
-from repro.bench.runner import (JobFileBackend, PoolSpec, ResultCache,
-                                RunSpec, RunnerStats, SweepRunner,
-                                build_cache, build_cluster, build_engine,
-                                canonical_result_json, code_fingerprint,
-                                engine_spec, execute_spec, result_from_dict,
-                                result_to_dict, run_specs, spec_from_dict,
-                                spec_to_dict, sweep_worker_loop)
+from repro.bench.runner import (PoolSpec, ResultCache, RunSpec, RunnerStats,
+                                SweepRunner, build_cache, build_cluster,
+                                build_engine, canonical_result_json,
+                                code_fingerprint, engine_spec, execute_spec,
+                                result_from_dict, result_to_dict, run_specs,
+                                spec_to_dict)
 from repro.bench.tables import render_cdf_series, render_table, speedup
 
 __all__ = [
-    "AveragedRow", "BENCH_SCALES", "JobFileBackend", "PoolSpec",
+    "AveragedRow", "BENCH_SCALES", "PoolSpec",
     "ResultCache", "RunSpec",
     "RunnerStats", "SweepRow", "SweepRunner", "TIME_LIMIT_MINUTES",
     "averaged_eviction_sweep",
@@ -47,7 +46,7 @@ __all__ = [
     "make_cell_config", "make_workload", "multitenant_sweep",
     "render_cdf_series", "render_table", "result_from_dict",
     "result_to_dict", "run_multitenant_cell", "run_one", "run_specs",
-    "spec_for_job", "spec_from_dict", "spec_to_dict", "speedup",
-    "sweep_executor", "sweep_worker_loop",
+    "spec_for_job", "spec_to_dict", "speedup",
+    "sweep_executor",
     "tab1_lifetime_percentiles", "tab2_collected_memory",
 ]

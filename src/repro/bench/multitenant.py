@@ -5,13 +5,11 @@ This is the glue between the engine-agnostic cluster loop
 inter-job policy dispatches becomes one :class:`~repro.bench.runner.RunSpec`
 whose ``eviction_waves`` carry the cluster-wide wave schedule re-based to
 the job's start, and the batch runs through a
-:class:`~repro.bench.runner.SweepRunner` — so dispatched jobs simulate in
-parallel across worker processes and a warm on-disk cache replays a whole
-sweep without a single inner simulation. One runner (and thus one warm
-worker pool with its per-process build caches) serves every dispatch
-batch of the outer loop; the pool is paid for once per sweep, not once
-per batch. ``python -m repro mtsweep`` drives :func:`multitenant_sweep`
-over load x policy x eviction-rate cells.
+:class:`~repro.bench.runner.SweepRunner` — serially or on its worker
+pool — so a warm on-disk cache replays a whole sweep without a single
+inner simulation. One runner (and any pool it holds) serves every
+dispatch batch of the outer loop. ``python -m repro mtsweep`` drives
+:func:`multitenant_sweep` over load x policy x eviction-rate cells.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Optional, Sequence
 from repro.bench.runner import RunSpec, SweepRunner
 from repro.bench.tables import render_table
 from repro.cluster.tenancy import (ArrivalConfig, JobOutcome, JobRequest,
-                                   MultiTenantCluster,
-                                   SpeculativeBatchExecutor, TenancyConfig,
+                                   MultiTenantCluster, TenancyConfig,
                                    TenancyResult)
 from repro.cluster.tenancy.cluster import WaveOffsets
 from repro.metrics.jct import jct_by_tenant, stats_to_dict
@@ -53,10 +50,9 @@ def spec_for_job(request: JobRequest, waves: WaveOffsets,
 def sweep_executor(config: TenancyConfig, runner: SweepRunner):
     """Build the cluster's batch executor on top of a sweep runner.
 
-    Dispatches through the runner's futures API (submit everything, wait
-    in batch order) so results stream back as workers finish; cache
-    probes, in-flight dedup against speculative submissions, and chunked
-    transport all happen inside the runner.
+    Each dispatch batch is one ``runner.submit_many`` call followed by
+    ``runner.wait`` on every handle in batch order; cache probes,
+    within-batch dedup and chunked transport happen inside the runner.
     """
 
     def execute(batch: Sequence[tuple[JobRequest, WaveOffsets]]) \
@@ -75,45 +71,6 @@ def _to_outcome(result) -> JobOutcome:
                       evictions=result.evictions)
 
 
-def speculative_sweep_executor(config: TenancyConfig, runner: SweepRunner,
-                               *, max_inflight: Optional[int] = None):
-    """A :class:`SpeculativeBatchExecutor` over the runner's futures API.
-
-    Pass the returned object to :class:`MultiTenantCluster` as *both*
-    ``execute_batch`` and ``speculator``: between dispatch instants it
-    pre-submits predicted jobs' specs onto the runner's worker pool, and
-    real dispatches consume exact-key matches (or fall back to the plain
-    executor above). Misspeculated specs that already ran still land in
-    the runner's on-disk cache; ones that never started are cancelled.
-    Call :func:`mirror_speculation_stats` after the run to fold the
-    executor's counters into ``runner.stats``.
-    """
-    if max_inflight is None:
-        # Keep roughly two rounds of work per worker in flight; even the
-        # serial runner profits from a small window (pure cache warmth).
-        max_inflight = max(4, 2 * max(1, runner.workers))
-
-    def submit(request: JobRequest, waves: WaveOffsets):
-        return runner.submit(
-            spec_for_job(request, waves, config.time_limit_minutes))
-
-    return SpeculativeBatchExecutor(
-        sweep_executor(config, runner),
-        submit=submit,
-        resolve=lambda handle: _to_outcome(runner.wait(handle)),
-        cancel=runner.cancel,
-        max_inflight=max_inflight)
-
-
-def mirror_speculation_stats(runner: SweepRunner,
-                             executor: SpeculativeBatchExecutor) -> None:
-    """Fold one speculative executor's counters into the runner's stats
-    (which every ``--out`` JSON serializes)."""
-    runner.stats.speculation_submitted += executor.stats.submitted
-    runner.stats.speculation_hits += executor.stats.hits
-    runner.stats.speculation_wasted += executor.stats.wasted
-
-
 def make_cell_config(policy: str, load: float, eviction: str,
                      num_jobs: int = 60, seed: int = 11,
                      reserve: str = "fixed") -> TenancyConfig:
@@ -126,16 +83,8 @@ def make_cell_config(policy: str, load: float, eviction: str,
 def run_multitenant_cell(config: TenancyConfig,
                          runner: Optional[SweepRunner] = None,
                          workers: int = 0,
-                         cache=None,
-                         speculate: bool = False) -> TenancyResult:
+                         cache=None) -> TenancyResult:
     """Run one multi-tenant cell end to end.
-
-    ``speculate=True`` wraps the executor in a
-    :class:`~repro.cluster.tenancy.SpeculativeBatchExecutor` so predicted
-    dispatches pre-execute on idle workers between outer-loop instants;
-    records are bit-identical either way (consumption requires an exact
-    spec match), only wall clock and the speculation counters in
-    ``runner.stats`` change.
 
     When an obs collector is installed (:func:`repro.obs.collecting`),
     every job additionally gets a ``tenant/job_id``-labelled trace holding
@@ -144,21 +93,14 @@ def run_multitenant_cell(config: TenancyConfig,
     """
     if runner is None:
         with SweepRunner(workers=workers, cache_dir=cache) as local:
-            return run_multitenant_cell(config, runner=local,
-                                        speculate=speculate)
-    if speculate:
-        executor = speculative_sweep_executor(config, runner)
-        cluster = MultiTenantCluster(config, executor, speculator=executor)
-    else:
-        cluster = MultiTenantCluster(config, sweep_executor(config, runner))
+            return run_multitenant_cell(config, runner=local)
+    cluster = MultiTenantCluster(config, sweep_executor(config, runner))
     started = time.perf_counter()
     result = cluster.run()
-    # The futures API never passes through runner.run(), so the cell
-    # accounts its own wall clock and dispatch batches.
+    # Dispatch never passes through runner.run(), so the cell accounts
+    # its own wall clock and dispatch batches.
     runner.stats.wall_seconds += time.perf_counter() - started
     runner.stats.batches += result.dispatch_batches
-    if speculate:
-        mirror_speculation_stats(runner, executor)
     _tag_job_traces(result)
     return result
 
@@ -218,25 +160,20 @@ def multitenant_sweep(policies: Sequence[str] = SWEEP_POLICIES,
                       reserves: Sequence[str] = SWEEP_RESERVES,
                       num_jobs: int = 60, seed: int = 11,
                       runner: Optional[SweepRunner] = None,
-                      workers: int = 0, cache=None,
-                      speculate: bool = False) -> list[dict]:
+                      workers: int = 0, cache=None) -> list[dict]:
     """Sweep load x policy x eviction x reserve; one summary per cell.
 
-    All cells share one runner — and with ``workers=N`` one *warm worker
-    pool* across every dispatch batch of every cell — so identical inner
-    jobs (same arrival schedule under different policies can dispatch a
-    job at the same instant) simulate once per process and cache across
-    runs. The ``reserves`` axis defaults to fixed-only; pass ``("fixed",
-    "elastic")`` to measure the elasticity controller head to head.
-    ``speculate=True`` (CLI ``--speculate on``) pre-executes predicted
-    dispatches between outer-loop instants — summaries are unchanged,
-    and misspeculated inner jobs cached on disk benefit later cells.
+    All cells share one runner (and with ``workers=N`` one warm worker
+    pool), so with a cache identical inner jobs simulate once across
+    cells and runs. The ``reserves`` axis defaults to fixed-only; pass
+    ``("fixed", "elastic")`` to measure the elasticity controller head to
+    head.
     """
     if runner is None:
         with SweepRunner(workers=workers, cache_dir=cache) as local:
             return multitenant_sweep(policies, loads, evictions, reserves,
                                      num_jobs=num_jobs, seed=seed,
-                                     runner=local, speculate=speculate)
+                                     runner=local)
     summaries = []
     for load in loads:
         for eviction in evictions:
@@ -245,7 +182,6 @@ def multitenant_sweep(policies: Sequence[str] = SWEEP_POLICIES,
                     config = make_cell_config(policy, load, eviction,
                                               num_jobs=num_jobs, seed=seed,
                                               reserve=reserve)
-                    result = run_multitenant_cell(config, runner=runner,
-                                                  speculate=speculate)
+                    result = run_multitenant_cell(config, runner=runner)
                     summaries.append(cell_summary(config, result))
     return summaries

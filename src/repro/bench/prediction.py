@@ -22,7 +22,6 @@ ships its retained outputs to the reserved side before the wave lands.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.bench.runner import RunSpec, SweepRunner
@@ -91,53 +90,25 @@ def prediction_specs(workload: str, period: float, severity: float,
     }
 
 
-def _run_async(runner: SweepRunner, specs: Sequence[RunSpec]) -> list:
-    """Run specs through the runner's futures API: submit everything,
-    harvest completions out of order via ``poll()``, reassemble in spec
-    order. Bit-identical to ``runner.run`` (same cache probes, dedup,
-    chunking); only the harvesting order differs."""
-    started = time.perf_counter()
-    handles = runner.submit_many(specs)
-    outstanding = [handle for handle in handles if not handle.done()]
-    while outstanding:
-        resolved = runner.poll()
-        outstanding = [h for h in outstanding if not h.done()]
-        if outstanding and not resolved:
-            # Nothing finished since the last pass: block on the oldest
-            # handle (for the jobfile backend this is also what drains
-            # the queue when no external workers are attached).
-            runner.wait(outstanding[0])
-            outstanding = [h for h in outstanding if not h.done()]
-    results = [handle.result() for handle in handles]
-    runner.stats.batches += 1
-    runner.stats.wall_seconds += time.perf_counter() - started
-    return results
-
-
 def prediction_sweep(workloads: Sequence[str] = SWEEP_WORKLOADS,
                      regimes: Sequence[tuple] = WAVE_REGIMES,
                      scale: Optional[float] = None, seed: int = 11,
                      time_limit_minutes: float = 150.0,
                      runner: Optional[SweepRunner] = None,
-                     workers: int = 0, cache=None,
-                     speculate: bool = False) -> list[dict]:
+                     workers: int = 0, cache=None) -> list[dict]:
     """Run every (workload, regime, variant) cell; one dict per cell.
 
     Rows interleave ``static``/``predictive`` per cell so the committed
     JSON reads as head-to-head pairs; ``relaunched`` (the recomputation
     the paper's bottom panels plot) and ``jct_minutes`` are the two
     quantities the predictive variant is expected to reduce.
-
-    ``speculate=True`` (CLI ``--speculate on``) routes through the
-    runner's asynchronous futures API (:func:`_run_async`) so a parallel
-    backend streams results out of order; rows are bit-identical.
     """
     if runner is None:
         with SweepRunner(workers=workers, cache_dir=cache) as local:
             return prediction_sweep(workloads, regimes, scale=scale,
                                     seed=seed,
                                     time_limit_minutes=time_limit_minutes,
-                                    runner=local, speculate=speculate)
+                                    runner=local)
     cells = []
     specs = []
     for workload in workloads:
@@ -148,7 +119,7 @@ def prediction_sweep(workloads: Sequence[str] = SWEEP_WORKLOADS,
             for variant, spec in pair.items():
                 cells.append((workload, name, variant))
                 specs.append(spec)
-    results = _run_async(runner, specs) if speculate else runner.run(specs)
+    results = runner.run(specs)
     rows = []
     for (workload, regime, variant), result in zip(cells, results):
         extras = result.extras

@@ -1,50 +1,32 @@
-"""Parallel, cached experiment runner with a warm worker pool.
+"""Parallel, cached experiment runner: serial, or one capped worker pool.
 
-The paper's evaluation protocol (§5.1.3) runs every configuration five
-times and sweeps engines x eviction rates x cluster sizes — dozens to
-hundreds of independent simulations. This module turns those sweeps into
-data: a :class:`RunSpec` is a picklable, declaratively-specified simulation
-(workload + engine + cluster + seed) with a stable content hash, and a
-:class:`SweepRunner` fans lists of specs out over a persistent
-``ProcessPoolExecutor``, returns results in deterministic spec order, and
-memoizes completed :class:`~repro.engines.base.JobResult` rows in an
-on-disk JSON cache keyed by ``(spec hash, code fingerprint)`` so re-running
-a sweep only simulates what changed.
+The paper's evaluation protocol (§5.1.3) sweeps engines x eviction rates
+x cluster sizes, five times over — dozens to hundreds of independent
+simulations. A :class:`RunSpec` is a picklable, declarative simulation
+(workload + engine + cluster + seed) with a stable content hash; it names
+engines by registry name and carries options as JSON scalars, so it
+pickles for workers and keys the cache. A :class:`SweepRunner` runs lists
+of specs and returns results in spec order, on one of two paths:
 
-Design constraints:
+* ``workers=0`` (the default): serially, in-process.
+* ``workers=N``: on one warm spawn pool of ``min(N, os.cpu_count())``
+  workers that lives across ``run()`` calls. Each worker keeps a
+  per-process :class:`_BuildCache`, and dispatch is chunked: one pickle
+  round-trip per chunk, not per spec.
 
-* **Declarative specs.** A spec references engines by registry name and
-  carries options as plain ``(key, value)`` pairs; clusters are named
-  eviction rates plus counts (or declarative §6 transient pools). This
-  keeps specs picklable for worker processes, JSON-serializable for the
-  cache key and the jobfile backend, and independent of in-process object
-  identity.
-* **Determinism.** ``workers=0`` (the default) runs every simulation
-  in-process in spec order — bit-identical to the historical serial
-  sweeps. ``workers=N`` runs the same simulations in worker processes;
-  each simulation seeds its own ``Generator``, so results are
-  bit-identical to the serial path regardless of scheduling, chunking,
-  pool lifetime, or backend.
-* **Warm pools.** One runner owns its pool across ``run()`` calls
-  (``close()`` / context-manager lifecycle). Workers initialize once
-  (imports, code fingerprint) and keep a per-process :class:`_BuildCache`
-  so programs/engines/clusters are built once per structural key, not
-  once per spec — the multi-tenant dispatch loop sends hundreds of
-  near-identical jobs where only seed/wave fields vary. Dispatch is
-  chunked: one pickle round-trip per chunk, not per spec.
-* **Honest caching.** Cache entries are invalidated by a fingerprint of
-  every ``.py`` file under ``src/repro``; any code change re-simulates.
-  An in-memory LRU fronts the per-spec files so repeated probes within
-  one process skip disk I/O.
-* **Distributed backend.** ``SweepRunner(backend="jobfile",
-  job_dir=...)`` fans chunk files out over a shared directory;
-  ``python -m repro sweep-worker <dir>`` processes run anywhere the
-  directory is mounted. Chunks are claimed by atomic rename, results
-  flow back through the content-hash :class:`ResultCache` (idempotent
-  puts give exactly-once result commit even when a crashed worker's
-  chunk is reclaimed and partially re-executed), and the submitting
-  runner drains the queue itself so a sweep finishes even with zero
-  external workers.
+Each simulation seeds its own ``Generator``, but a pooled result equals
+the serial one *only when the spec's result does not depend on process
+history*. Some do: the process-wide container-id counter
+(``itertools.count()`` in :mod:`repro.cluster.resources`) feeds Pado's
+many-to-one routing (``executor_id % n`` in ``_push_to_root``), so such a
+simulation can differ with what ran before it in its process, and a pool
+changes which specs share a process. ``tests/bench/test_sweep_pool.py``
+pins that defect with a strict ``xfail``.
+
+Completed results are memoized in an on-disk JSON cache keyed by ``(spec
+hash, code fingerprint)``, fronted by an in-memory LRU; any code change
+re-simulates, and unreadable entries are counted as corrupt (then
+re-simulated and overwritten), never silently as misses.
 """
 
 from __future__ import annotations
@@ -52,15 +34,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import pathlib
 import tempfile
 import time
-import uuid
 from collections import OrderedDict
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -69,19 +49,10 @@ from repro.engines.base import ClusterConfig, EngineBase, JobResult
 #: Option values allowed in a spec: must survive a JSON round-trip intact.
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
-#: Start method for worker pools. ``spawn`` (not the POSIX ``fork``
-#: default) so pool workers are interpreter-fresh — the same execution
-#: model as distributed ``sweep-worker`` processes, with no inherited
-#: module state, tracer registrations, or fingerprint memos. Spawn
-#: startup is expensive (~0.5 s/worker), which is exactly why the pool
-#: is warm: the cost is paid once per runner, not once per batch.
+#: Start method for worker pools: ``spawn`` workers are interpreter-fresh
+#: (no inherited module state or tracer registrations). Spawn startup is
+#: expensive (~0.5 s/worker), so the pool is warm: paid once per runner.
 DEFAULT_MP_CONTEXT = "spawn"
-
-#: Seconds after which a claimed-but-untouched jobfile chunk is assumed
-#: orphaned by a crashed worker and moved back to the queue. Workers
-#: touch their claim file after every completed spec, so this only needs
-#: to exceed the longest single simulation.
-DEFAULT_CLAIM_TIMEOUT = 120.0
 
 
 def _freeze_options(options: Optional[dict]) -> tuple:
@@ -130,11 +101,10 @@ class RunSpec:
     eviction: str = "none"
     engine_options: tuple = ()
     transient_pools: Optional[tuple] = None
-    #: Multi-tenant runs (:mod:`repro.cluster.tenancy`) pin the job's
-    #: eviction schedule to the cluster-wide wave times: a tuple of
-    #: ``(offset_seconds, severity)`` pairs relative to the job's start,
-    #: simulated via :class:`~repro.trace.models.WaveLifetimeModel`.
-    #: Mutually exclusive with a named ``eviction`` rate and with pools.
+    #: Multi-tenant runs pin the job's evictions to the cluster-wide wave
+    #: times: ``(offset_seconds, severity)`` pairs relative to the job's
+    #: start (:class:`~repro.trace.models.WaveLifetimeModel`). Mutually
+    #: exclusive with a named ``eviction`` rate and with pools.
     eviction_waves: Optional[tuple] = None
 
     @classmethod
@@ -156,51 +126,18 @@ class RunSpec:
     def options(self) -> dict:
         return dict(self.engine_options)
 
-    def structural_key(self) -> tuple:
-        """Everything that shapes the *built objects* (program, engine,
-        cluster) but not the run itself: excludes ``seed`` and
-        ``time_limit_minutes``, which only parameterize ``engine.run``.
-        The per-process :class:`_BuildCache` memoizes on slices of this.
-        """
-        return (self.workload, self.engine, self.scale, self.num_reserved,
-                self.num_transient, self.eviction, self.engine_options,
-                self.transient_pools, self.eviction_waves)
-
 
 def spec_to_dict(spec: RunSpec) -> dict:
-    """JSON-safe dict form of a spec (jobfile chunks, cache metadata)."""
+    """JSON-safe dict form of a spec (cache-entry metadata)."""
     return dataclasses.asdict(spec)
-
-
-def spec_from_dict(data: dict) -> RunSpec:
-    """Inverse of :func:`spec_to_dict`. Restores the tuple structure JSON
-    flattened to lists, so ``content_hash()`` round-trips exactly."""
-    fields = {f.name: data[f.name] for f in dataclasses.fields(RunSpec)
-              if f.name in data}
-    fields["engine_options"] = tuple(
-        (key, value) for key, value in fields.get("engine_options") or ())
-    pools = fields.get("transient_pools")
-    if pools is not None:
-        fields["transient_pools"] = tuple(
-            pool if isinstance(pool, PoolSpec) else PoolSpec(**pool)
-            for pool in pools)
-    waves = fields.get("eviction_waves")
-    if waves is not None:
-        fields["eviction_waves"] = tuple(
-            (offset, severity) for offset, severity in waves)
-    return RunSpec(**fields)
 
 
 # ----------------------------------------------------------------------
 # spec -> runnable objects
 
 def engine_spec(engine: Union[str, EngineBase]) -> tuple[str, tuple]:
-    """``(name, engine_options)`` for an engine name or instance.
-
-    Instances of the three registered engines are introspected so existing
-    call sites (``engines=[PadoEngine()]``) keep working; custom engine
-    classes are not spec-able and raise.
-    """
+    """``(name, engine_options)`` for an engine name or an instance of one
+    of the three registered engines; custom engine classes raise."""
     if isinstance(engine, str):
         return engine, ()
     from repro.core.runtime.engine import PadoEngine
@@ -296,23 +233,13 @@ def build_cluster(spec: RunSpec) -> ClusterConfig:
 
 class _BuildCache:
     """Memoizes ``build_engine``/``build_cluster``/workload construction
-    by the spec's structural key — one instance per process (workers and
-    the in-process serial path alike).
+    by the spec's structural key, one instance per process.
 
-    What is safe to reuse across runs, verified bit-identical by
-    ``tests/bench/test_sweep_pool.py``:
-
-    * **Programs** — the DAG is read-only to the engines.
-    * **Clusters** — ``ClusterConfig`` is frozen; lifetime models are
-      stateless (``sample(rng)`` draws from the caller's generator).
-    * **Engines without a ``scheduling_policy`` option** — plain config
-      holders whose ``run()`` builds fresh per-run state. A configured
-      policy *instance* (e.g. ``LifetimeAwarePolicy``) carries a
-      round-robin cursor across runs, so those specs rebuild the engine
-      every time.
-
-    Entries are evicted FIFO past ``capacity`` per table so tenancy
-    sweeps with thousands of distinct wave tuples stay bounded.
+    Programs (read-only DAGs), clusters (frozen, stateless lifetime
+    models) and engines without a ``scheduling_policy`` option are safe
+    to reuse; a configured policy *instance* carries a round-robin cursor
+    across runs, so those specs rebuild the engine every time. Entries
+    are evicted FIFO past ``capacity`` per table.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -368,11 +295,9 @@ def build_cache() -> _BuildCache:
 
 
 def execute_spec(spec: RunSpec) -> JobResult:
-    """Run one spec to completion (this is what worker processes execute).
-
-    Program/engine/cluster construction is memoized per process through
-    :func:`build_cache`; the simulation itself always runs fresh.
-    """
+    """Run one spec to completion. Program/engine/cluster construction
+    is memoized per process (:func:`build_cache`); the simulation itself
+    always runs fresh."""
     program = _BUILD_CACHE.program_for(spec)
     engine = _BUILD_CACHE.engine_for(spec)
     return engine.run(program, _BUILD_CACHE.cluster_for(spec), seed=spec.seed,
@@ -384,9 +309,7 @@ def execute_spec(spec: RunSpec) -> JobResult:
 
 def _init_worker() -> None:
     """Run once per pool worker: pay the heavy imports and the source-tree
-    fingerprint up front so the first chunk measures simulation, not
-    setup. Spawned workers start interpreter-fresh, so nothing leaks in
-    from the parent."""
+    fingerprint up front so the first chunk measures simulation."""
     import repro.bench.experiments  # noqa: F401
     import repro.cluster.tenancy  # noqa: F401
     import repro.predict  # noqa: F401
@@ -394,21 +317,14 @@ def _init_worker() -> None:
 
 
 def _pool_probe(delay_seconds: float) -> int:
-    """Warm-up task: occupying every worker briefly forces the executor
-    to actually spawn its full complement, so pool startup is paid (and
-    measured) inside ``_ensure_pool``, not inside the first real chunk."""
+    """Warm-up task that makes the executor spawn every worker now."""
     time.sleep(delay_seconds)
     return os.getpid()
 
 
 def _execute_chunk(specs: list[RunSpec]) -> tuple[list[JobResult], float]:
-    """Worker-side entry: one pickle round-trip executes a whole chunk.
-
-    Returns the results plus the worker-side busy time for the chunk so
-    the runner can integrate real worker utilization
-    (:attr:`RunnerStats.busy_worker_seconds`) without guessing from
-    round-trip latencies.
-    """
+    """Worker-side entry: executes a whole chunk; returns the results and
+    the worker-side busy time (:attr:`RunnerStats.busy_worker_seconds`)."""
     started = time.perf_counter()
     results = [execute_spec(spec) for spec in specs]
     return results, time.perf_counter() - started
@@ -473,14 +389,10 @@ def _tree_fingerprint(root: pathlib.Path) -> str:
 
 
 def code_fingerprint(root: Optional[pathlib.Path] = None) -> str:
-    """Digest over every ``.py`` file under ``src/repro``; part of the
-    cache key so stale results never survive a code change.
-
-    The tree is the whole package — engines, the cluster substrate, and
-    the multi-tenant layer (``repro.cluster.tenancy``) alike — because a
-    cached :class:`~repro.engines.base.JobResult` depends on all of them.
-    ``root`` overrides the digested tree (uncached); tests use it to
-    prove specific modules participate in the digest.
+    """Digest over every ``.py`` file under ``src/repro`` (the whole
+    package, tenancy layer included); part of the cache key so stale
+    results never survive a code change. ``root`` overrides the digested
+    tree (uncached); tests use it to prove modules participate.
     """
     global _FINGERPRINT
     if root is not None:
@@ -498,7 +410,8 @@ class ResultCache:
 
     ``get``/``put``/``path_for`` accept the precomputed content hash via
     ``key=`` so callers that already hashed the spec never hash twice.
-    ``memory_hits``/``disk_hits``/``misses`` count where probes landed.
+    ``memory_hits``/``disk_hits``/``misses`` count where probes landed;
+    ``corrupt`` counts entries that exist but cannot be read back.
     """
 
     def __init__(self, directory: Union[str, pathlib.Path],
@@ -508,6 +421,7 @@ class ResultCache:
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
+        self.corrupt = 0
         self._memory: OrderedDict[str, JobResult] = OrderedDict()
 
     def path_for(self, spec: RunSpec, key: Optional[str] = None)\
@@ -526,8 +440,13 @@ class ResultCache:
         try:
             data = json.loads(self.path_for(spec, key=key).read_text())
             result = result_from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except (OSError, ValueError, KeyError, TypeError):
+            # Truncated or unreadable entry: the caller re-simulates and
+            # overwrites it, but the damage is counted, not hidden.
+            self.corrupt += 1
             return None
         self.disk_hits += 1
         self._remember(key, result)
@@ -535,11 +454,9 @@ class ResultCache:
 
     def put(self, spec: RunSpec, result: JobResult,
             key: Optional[str] = None) -> bool:
-        """Persist a result; returns False (and caches nothing) when the
-        result carries non-JSON payloads (real-data ``outputs``/extras).
-        Writes are atomic (tempfile + rename), so concurrent writers —
-        jobfile workers racing on a reclaimed chunk — land whole files
-        and the duplicate put is an idempotent overwrite."""
+        """Persist a result atomically (tempfile + rename, so concurrent
+        writers land whole files); returns False, caching nothing, when
+        the result carries non-JSON payloads."""
         key = key if key is not None else spec.content_hash()
         try:
             payload = json.dumps(
@@ -572,151 +489,22 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# jobfile backend: chunk files over a shared directory
-
-class JobFileBackend:
-    """Work queue as files: ``<root>/queue/*.json`` chunks are claimed by
-    atomic rename into ``<root>/claimed/``, executed, and deleted; results
-    land in the shared :class:`ResultCache` at ``<root>/cache``.
-
-    Crash recovery: a worker that dies mid-chunk leaves its claim file
-    behind. Workers touch the claim after every completed spec, so a
-    claim whose mtime is older than the reclaim timeout is orphaned and
-    moves back to the queue. Specs already finished before the crash are
-    cache hits on re-execution — at-least-once execution, exactly-once
-    result commit.
-    """
-
-    def __init__(self, root: Union[str, pathlib.Path]) -> None:
-        self.root = pathlib.Path(root)
-        self.queue_dir = self.root / "queue"
-        self.claimed_dir = self.root / "claimed"
-        self.cache_dir = self.root / "cache"
-        for directory in (self.queue_dir, self.claimed_dir, self.cache_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-
-    def enqueue_chunk(self, specs: Sequence[RunSpec]) -> pathlib.Path:
-        """Atomically publish one chunk file to the queue."""
-        payload = json.dumps(
-            {"specs": [spec_to_dict(spec) for spec in specs]},
-            sort_keys=True)
-        target = self.queue_dir / f"chunk-{uuid.uuid4().hex}.json"
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, target)
-        return target
-
-    def claim(self) -> Optional[pathlib.Path]:
-        """Move one queued chunk into ``claimed/``; None when the queue is
-        empty. The rename is atomic, so exactly one claimant wins."""
-        for path in sorted(self.queue_dir.glob("chunk-*.json")):
-            target = self.claimed_dir / path.name
-            try:
-                os.rename(path, target)
-            except OSError:
-                continue
-            return target
-        return None
-
-    def finish(self, claimed: pathlib.Path) -> None:
-        try:
-            claimed.unlink()
-        except OSError:
-            pass
-
-    def heartbeat(self, claimed: pathlib.Path) -> None:
-        """Freshen a claim's mtime so it is not reclaimed while live."""
-        try:
-            os.utime(claimed)
-        except OSError:
-            pass
-
-    def reclaim_stale(self, older_than_seconds: float) -> int:
-        """Move orphaned claims back to the queue; returns how many."""
-        reclaimed = 0
-        cutoff = time.time() - older_than_seconds
-        for path in sorted(self.claimed_dir.glob("chunk-*.json")):
-            try:
-                if path.stat().st_mtime > cutoff:
-                    continue
-                os.rename(path, self.queue_dir / path.name)
-            except OSError:
-                continue
-            reclaimed += 1
-        return reclaimed
-
-    @staticmethod
-    def load_chunk(path: pathlib.Path) -> list[RunSpec]:
-        data = json.loads(path.read_text())
-        return [spec_from_dict(entry) for entry in data["specs"]]
-
-
-def sweep_worker_loop(job_dir: Union[str, pathlib.Path], *,
-                      cache_dir: Optional[Union[str, pathlib.Path]] = None,
-                      once: bool = False, poll_seconds: float = 0.5,
-                      claim_timeout: float = DEFAULT_CLAIM_TIMEOUT,
-                      max_chunks: Optional[int] = None) -> int:
-    """Process jobfile chunks until the queue stays empty (``once``) or
-    forever (the ``python -m repro sweep-worker`` service loop). Returns
-    the number of chunks completed.
-
-    Each spec is probed against the shared cache before executing —
-    re-running a reclaimed chunk only simulates what the crashed worker
-    had not finished.
-    """
-    backend = JobFileBackend(job_dir)
-    cache = ResultCache(cache_dir if cache_dir is not None
-                        else backend.cache_dir)
-    completed = 0
-    while True:
-        claimed = backend.claim()
-        if claimed is None:
-            if backend.reclaim_stale(claim_timeout):
-                continue
-            if once:
-                return completed
-            time.sleep(poll_seconds)
-            continue
-        for spec in backend.load_chunk(claimed):
-            key = spec.content_hash()
-            if cache.get(spec, key=key) is None:
-                cache.put(spec, execute_spec(spec), key=key)
-            backend.heartbeat(claimed)
-        backend.finish(claimed)
-        completed += 1
-        if max_chunks is not None and completed >= max_chunks:
-            return completed
-
-
-# ----------------------------------------------------------------------
 # the runner
 
 @dataclass
 class RunnerStats:
     """What a :class:`SweepRunner` actually did, and how long it took.
 
-    ``simulated`` counts fresh results this runner produced (locally or,
-    for the jobfile backend, through attached workers). ``exec_seconds``
-    is time inside simulation compute — worker-side busy time for pool
-    chunks, per-spec execution for the serial path — with pool startup
-    accounted separately so ``mean_spec_seconds`` reflects steady-state
-    throughput.
-
-    Utilization: ``busy_worker_seconds`` integrates worker-side compute
-    time, ``pool_worker_seconds`` integrates ``pool size x seconds the
-    pool was open``; their ratio :attr:`pool_occupancy` makes idle-worker
-    waste a measured number (a warm 8-pool fed 1–2 job batches shows it
-    directly). Speculation counters are filled by the multi-tenant
-    speculative executor (:mod:`repro.cluster.tenancy.speculation`):
-    ``speculation_submitted`` specs pre-submitted between dispatch
-    instants, of which ``speculation_hits`` were consumed by a real
-    dispatch and ``speculation_wasted`` were discarded (their results
-    still land in the on-disk cache).
+    ``cache_corrupt`` counts cache entries that existed but could not be
+    read back. ``exec_seconds`` is simulation compute (worker busy time
+    for pool chunks), pool startup is accounted separately, and
+    :attr:`pool_occupancy` is worker busy time over ``pool size x open
+    time``.
     """
 
     simulated: int = 0
     cache_hits: int = 0
+    cache_corrupt: int = 0
     deduplicated: int = 0
     batches: int = 0
     chunks: int = 0
@@ -726,9 +514,6 @@ class RunnerStats:
     pool_startup_seconds: float = 0.0
     busy_worker_seconds: float = 0.0
     pool_worker_seconds: float = 0.0
-    speculation_submitted: int = 0
-    speculation_hits: int = 0
-    speculation_wasted: int = 0
 
     @property
     def mean_spec_seconds(self) -> float:
@@ -736,8 +521,7 @@ class RunnerStats:
 
     @property
     def pool_occupancy(self) -> float:
-        """Fraction of pool-worker capacity spent computing (0 when no
-        pool ran)."""
+        """Fraction of pool-worker capacity spent computing."""
         if self.pool_worker_seconds <= 0.0:
             return 0.0
         return self.busy_worker_seconds / self.pool_worker_seconds
@@ -751,6 +535,8 @@ class RunnerStats:
     def __str__(self) -> str:
         text = (f"{self.simulated} simulated, {self.cache_hits} cached, "
                 f"{self.deduplicated} deduplicated")
+        if self.cache_corrupt:
+            text += f", {self.cache_corrupt} corrupt cache entries"
         text += (f"; {self.wall_seconds:.2f}s wall, "
                  f"{self.mean_spec_seconds * 1e3:.1f} ms/spec")
         if self.pools_started:
@@ -758,173 +544,54 @@ class RunnerStats:
                      f"x{self.pools_started}")
         if self.pool_worker_seconds > 0.0:
             text += f", {self.pool_occupancy:.0%} pool occupancy"
-        if self.speculation_submitted:
-            text += (f"; speculation {self.speculation_submitted} submitted"
-                     f" / {self.speculation_hits} hit"
-                     f" / {self.speculation_wasted} wasted")
         return text
 
 
 class SpecFuture:
-    """Handle for one submitted :class:`RunSpec`.
+    """Handle for one submitted :class:`RunSpec`, redeemed through
+    :meth:`SweepRunner.wait`. ``_chunk`` is the in-flight pool chunk,
+    ``(future, handles)``, that will resolve it."""
 
-    Obtained from :meth:`SweepRunner.submit` / ``submit_many``; redeemed
-    through :meth:`SweepRunner.wait` (or ``handle.result()``). A handle
-    is resolved exactly once; duplicate submissions of the same content
-    hash share one handle. Speculative submitters keep handles around and
-    either consume them on an exact match or let :meth:`SweepRunner.cancel`
-    try to call the work off.
-    """
+    __slots__ = ("spec", "key", "_chunk", "_result", "_error")
 
-    __slots__ = ("spec", "key", "_runner", "_done", "_result", "_error",
-                 "_chunk", "_jobfile")
-
-    def __init__(self, spec: RunSpec, key: str,
-                 runner: "SweepRunner") -> None:
+    def __init__(self, spec: RunSpec, key: str) -> None:
         self.spec = spec
         self.key = key
-        self._runner = runner
-        self._done = False
+        self._chunk: Optional[tuple] = None
         self._result: Optional[JobResult] = None
         self._error: Optional[BaseException] = None
-        self._chunk: Optional[_AsyncChunk] = None
-        self._jobfile = False
-
-    def done(self) -> bool:
-        """True once the result (or error) is available without blocking.
-        Pool-backed handles also report True when their chunk finished
-        but has not been finalized yet (``wait`` finalizes instantly)."""
-        if self._done:
-            return True
-        return self._chunk is not None and self._chunk.future.done()
-
-    def result(self) -> JobResult:
-        """Block until resolved; equivalent to ``runner.wait(handle)``."""
-        return self._runner.wait(self)
-
-    def _resolve(self, result: JobResult) -> None:
-        self._done = True
-        self._result = result
-        self._chunk = None
-
-    def _fail(self, error: BaseException) -> None:
-        self._done = True
-        self._error = error
-        self._chunk = None
-
-    def _outcome(self) -> JobResult:
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-
-class _AsyncChunk:
-    """One in-flight pool chunk: the executor future plus the handles it
-    will resolve, in submission order."""
-
-    __slots__ = ("future", "items")
-
-    def __init__(self, future: Any, items: list[SpecFuture]) -> None:
-        self.future = future
-        self.items = items
 
 
 class SweepRunner:
-    """Execute lists of :class:`RunSpec` with optional process-parallelism
-    and on-disk memoization.
+    """Execute lists of :class:`RunSpec` serially or on one worker pool,
+    with optional on-disk memoization.
 
-    ``workers=0`` runs serially in-process — the default for
-    determinism-sensitive tests. ``workers=N`` fans pending specs out in
-    chunks over a persistent ``ProcessPoolExecutor`` that lives across
-    ``run()`` calls; results always come back in spec order, bit-identical
-    to serial. Identical specs within one call are simulated once (the
-    simulation is deterministic, so duplicates share the result object).
+    ``workers=0`` runs serially in-process. ``workers=N`` fans pending
+    specs out in chunks over one spawn pool of ``min(N, os.cpu_count())``
+    workers (more processes than cores only add startup) that lives
+    across ``run()`` calls until ``close()`` or the end of a ``with``
+    block. Results come back in spec order; a pooled result equals the
+    serial one only when it does not depend on process history (see the
+    module docstring). Identical specs within one call simulate once.
 
-    **Futures API.** ``submit(spec)`` / ``submit_many(specs)`` return
-    :class:`SpecFuture` handles immediately; ``wait(handle)`` blocks for
-    one result, ``poll()`` finalizes whatever finished without blocking,
-    and ``cancel(handle)`` calls off work that has not started. Handles
-    stream out of order: a later-submitted spec may resolve first.
-    Submissions dedupe in flight by content hash — submitting a spec that
-    is already queued (or cached) returns instantly with the shared
-    handle — which is what makes speculative pre-submission from the
-    multi-tenant outer loop free to get wrong. ``run()`` is a thin
-    wrapper: submit everything, wait in spec order.
-
-    Lifecycle: the pool (and jobfile state) is released by ``close()`` or
-    by using the runner as a context manager::
-
-        with SweepRunner(workers=8) as runner:
-            for batch in batches:
-                results = runner.run(batch)   # one warm pool throughout
-
-    ``warm=False`` starts (and tears down) an ephemeral pool per
-    ``run()`` call — the per-batch cold-pool model this refactor
-    replaces, kept as the benchmark baseline. ``backend="jobfile"``
-    dispatches through a shared directory instead of a local pool — see
-    :class:`JobFileBackend`; the submitting runner drains the queue
-    itself, so external ``sweep-worker`` processes accelerate but are
-    never required for completion.
-
-    ``pool_scaling`` picks how the pool is brought up. ``"eager"`` (the
-    historical model) spawns and probes all ``workers`` processes up
-    front — right for saturating batch sweeps on many-core hosts.
-    ``"elastic"`` caps the pool at the host's CPU count and lets the
-    executor spawn processes lazily as submissions arrive, so a trickle
-    of speculative single-spec submissions on a small host never pays
-    for workers the hardware cannot run anyway.
+    ``run()`` is ``submit_many()`` then ``wait()`` on each handle in
+    order; the multi-tenant executor makes the same two calls once per
+    dispatch batch. ``mp_context`` picks the pool's start method (tests
+    use ``"fork"`` for speed).
     """
 
     def __init__(self, workers: int = 0,
                  cache_dir: Optional[Union[str, pathlib.Path]] = None, *,
-                 warm: bool = True,
-                 backend: str = "process",
-                 job_dir: Optional[Union[str, pathlib.Path]] = None,
-                 chunk_size: Optional[int] = None,
-                 mp_context: Optional[str] = DEFAULT_MP_CONTEXT,
-                 claim_timeout: float = DEFAULT_CLAIM_TIMEOUT,
-                 poll_seconds: float = 0.05,
-                 pool_scaling: str = "eager") -> None:
+                 mp_context: Optional[str] = DEFAULT_MP_CONTEXT) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if backend not in ("process", "jobfile"):
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"choose from process, jobfile")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if pool_scaling not in ("eager", "elastic"):
-            raise ValueError(f"unknown pool_scaling {pool_scaling!r}; "
-                             f"choose from eager, elastic")
         self.workers = workers
-        self.warm = warm
-        self.backend = backend
-        self.chunk_size = chunk_size
         self.mp_context = mp_context
-        self.claim_timeout = claim_timeout
-        self.poll_seconds = poll_seconds
-        self.pool_scaling = pool_scaling
-        self._jobfile: Optional[JobFileBackend] = None
-        if backend == "jobfile":
-            if job_dir is None:
-                raise ValueError("backend='jobfile' requires job_dir")
-            self._jobfile = JobFileBackend(job_dir)
-            if cache_dir is None:
-                # Results flow back through the shared cache; without one
-                # the runner could never observe remote completions.
-                cache_dir = self._jobfile.cache_dir
-        elif job_dir is not None:
-            raise ValueError("job_dir is only meaningful with "
-                             "backend='jobfile'")
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = RunnerStats()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 0
         self._pool_mark: Optional[float] = None
-        self._inflight: dict[str, SpecFuture] = {}
-        self._async_chunks: list[_AsyncChunk] = []
-
-    # -- lifecycle
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -933,12 +600,7 @@ class SweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool. The runner stays usable — the next
-        ``run()`` starts a fresh pool — so ``close()`` doubles as an
-        explicit way to release workers between distant batches."""
-        self._close_pool()
-
-    def _close_pool(self) -> None:
+        """Shut down the worker pool; the next ``run()`` starts afresh."""
         if self._pool is not None:
             self._mark_pool()
             self._pool.shutdown(wait=True, cancel_futures=True)
@@ -953,42 +615,20 @@ class SweepRunner:
                 self._pool_size * (now - self._pool_mark))
             self._pool_mark = now
 
-    # -- execution
-
     def run(self, specs: Sequence[RunSpec]) -> list[JobResult]:
-        """Submit every spec, wait in spec order. Identical to the
-        historical synchronous path — same cache probes, dedup, chunking,
-        and ordering — just expressed over the futures API."""
+        """Submit every spec, wait in spec order."""
         started = time.perf_counter()
         handles = self.submit_many(specs)
-        try:
-            results = [self.wait(handle) for handle in handles]
-        finally:
-            if (not self.warm and self.backend == "process"
-                    and self.workers > 0 and not self._async_chunks):
-                self._close_pool()
+        results = [self.wait(handle) for handle in handles]
         self.stats.batches += 1
         self.stats.wall_seconds += time.perf_counter() - started
         return results
 
-    # -- futures API
-
-    def submit(self, spec: RunSpec) -> SpecFuture:
-        """Submit one spec for asynchronous execution; returns a handle
-        immediately (already resolved on a cache hit)."""
-        return self.submit_many([spec])[0]
-
     def submit_many(self, specs: Sequence[RunSpec]) -> list[SpecFuture]:
-        """Submit specs for asynchronous execution, one handle per spec.
-
-        Each spec is hashed exactly once, probed against the on-disk
-        cache (resolved handle on a hit), deduplicated against both this
-        call and everything still in flight, and the remainder dispatched
-        to the backend: chunked onto the worker pool, enqueued as jobfile
-        chunks, or — with ``workers=0`` — executed inline before
-        returning (the serial path has nowhere to hide latency).
-        """
-        specs = list(specs)
+        """Start executing specs; one handle per spec, in order. Each
+        spec is hashed once, probed against the cache and deduplicated
+        within this call; the rest is chunked onto the pool or, with
+        ``workers=0``, executed inline before returning."""
         handles: list[SpecFuture] = []
         fresh: list[SpecFuture] = []
         local: dict[str, SpecFuture] = {}
@@ -997,225 +637,109 @@ class SweepRunner:
             if self.cache is not None:
                 hit = self.cache.get(spec, key=key)
                 if hit is not None:
-                    handle = SpecFuture(spec, key, self)
-                    handle._resolve(hit)
+                    handle = SpecFuture(spec, key)
+                    handle._result = hit
                     handles.append(handle)
                     self.stats.cache_hits += 1
                     continue
-            existing = local.get(key)
-            if existing is None:
-                existing = self._inflight.get(key)
-            if existing is not None:
-                handles.append(existing)
+            handle = local.get(key)
+            if handle is not None:
+                handles.append(handle)
                 self.stats.deduplicated += 1
                 continue
-            handle = SpecFuture(spec, key, self)
-            local[key] = handle
+            handle = local[key] = SpecFuture(spec, key)
             handles.append(handle)
             fresh.append(handle)
-        self._dispatch(fresh)
-        return handles
-
-    def wait(self, handle: SpecFuture) -> JobResult:
-        """Block until ``handle`` resolves; returns its
-        :class:`~repro.engines.base.JobResult` (or re-raises the
-        execution error)."""
-        if handle._done:
-            return handle._outcome()
-        if handle._chunk is not None:
-            self._finalize_chunk(handle._chunk)
-            return handle._outcome()
-        if handle._jobfile:
-            self._wait_jobfile(handle)
-            return handle._outcome()
-        raise RuntimeError("cannot wait on an unsubmitted handle")
-
-    def poll(self) -> list[SpecFuture]:
-        """Finalize everything that completed without blocking; returns
-        the handles that resolved during this call (out of order)."""
-        resolved: list[SpecFuture] = []
-        for chunk in list(self._async_chunks):
-            if chunk.future.done():
-                resolved.extend(chunk.items)
-                self._finalize_chunk(chunk)
         if self.cache is not None:
-            jobfile_handles = [h for h in self._inflight.values()
-                               if h._jobfile]
-            for handle in jobfile_handles:
-                hit = self.cache.get(handle.spec, key=handle.key)
-                if hit is not None:
-                    self._commit(handle, hit, put=False)
-                    resolved.append(handle)
-        return resolved
-
-    def cancel(self, handle: SpecFuture) -> bool:
-        """Try to call off a submitted handle before it starts. Only
-        single-spec pool chunks whose future has not been picked up by a
-        worker can be cancelled; everything else returns False and runs
-        to completion (the result still lands in the cache)."""
-        chunk = handle._chunk
-        if handle._done or chunk is None or len(chunk.items) > 1:
-            return False
-        if not chunk.future.cancel():
-            return False
-        self._async_chunks.remove(chunk)
-        self._inflight.pop(handle.key, None)
-        handle._fail(CancelledError(f"speculative spec {handle.key[:12]} "
-                                    f"cancelled before execution"))
-        return True
-
-    # -- dispatch internals
-
-    def _dispatch(self, handles: list[SpecFuture]) -> None:
-        if not handles:
-            return
-        if self.backend == "jobfile":
-            assert self._jobfile is not None
-            chunk_size = self.chunk_size if self.chunk_size is not None else 4
-            chunks = _chunked(handles,
-                              math.ceil(len(handles) / chunk_size))
-            for chunk in chunks:
-                self._jobfile.enqueue_chunk([h.spec for h in chunk])
-            self.stats.chunks += len(chunks)
-            for handle in handles:
-                handle._jobfile = True
-                self._inflight[handle.key] = handle
-            return
+            self.stats.cache_corrupt = self.cache.corrupt
         if self.workers == 0:
-            for handle in handles:
+            for handle in fresh:
                 started = time.perf_counter()
                 result = execute_spec(handle.spec)
                 self.stats.exec_seconds += time.perf_counter() - started
                 self._commit(handle, result)
-            return
-        size = self._pool_target(len(handles))
-        pool = self._ensure_pool(size)
-        chunks = _chunked(handles,
-                          self._chunk_count(len(handles), self._pool_size))
-        for chunk in chunks:
-            try:
-                future = pool.submit(_execute_chunk,
-                                     [h.spec for h in chunk])
-            except BaseException:
-                self._close_pool()
-                raise
-            async_chunk = _AsyncChunk(future, chunk)
-            self._async_chunks.append(async_chunk)
-            for handle in chunk:
-                handle._chunk = async_chunk
-                self._inflight[handle.key] = handle
-        self.stats.chunks += len(chunks)
+        elif fresh:
+            self._dispatch(fresh)
+        return handles
 
-    def _commit(self, handle: SpecFuture, result: JobResult,
-                put: bool = True) -> None:
-        handle._resolve(result)
-        self._inflight.pop(handle.key, None)
+    def wait(self, handle: SpecFuture) -> JobResult:
+        """Block until ``handle`` resolves; returns its result or
+        re-raises the error its chunk failed with."""
+        if handle._chunk is not None:
+            self._finalize(handle._chunk)
+        if handle._error is not None:
+            raise handle._error
+        assert handle._result is not None, "handle was never submitted"
+        return handle._result
+
+    def _commit(self, handle: SpecFuture, result: JobResult) -> None:
+        handle._result = result
         self.stats.simulated += 1
-        if put and self.cache is not None:
+        if self.cache is not None:
             self.cache.put(handle.spec, result, key=handle.key)
 
-    def _finalize_chunk(self, chunk: _AsyncChunk) -> None:
-        if chunk not in self._async_chunks:
-            return                       # already finalized (or cancelled)
-        self._async_chunks.remove(chunk)
+    def _dispatch(self, handles: list[SpecFuture]) -> None:
+        pool = self._ensure_pool()
+        # ~4 chunks per worker balances load without per-spec round-trips.
+        chunks = _chunked(handles, min(len(handles), 4 * self._pool_size))
+        for chunk in chunks:
+            try:
+                future = pool.submit(_execute_chunk, [h.spec for h in chunk])
+            except BaseException:
+                self.close()
+                raise
+            for handle in chunk:
+                handle._chunk = (future, chunk)
+        self.stats.chunks += len(chunks)
+
+    def _finalize(self, chunk: tuple) -> None:
+        future, handles = chunk
+        for handle in handles:
+            handle._chunk = None
         try:
-            results, busy_seconds = chunk.future.result()
+            results, busy_seconds = future.result()
         except BaseException as error:
             # A broken pool (worker killed, pickling failure) is not
             # recoverable in place; drop it so the next dispatch rebuilds.
             # The error surfaces through every handle of the chunk.
-            for handle in chunk.items:
-                self._inflight.pop(handle.key, None)
-                handle._fail(error)
-            self._close_pool()
+            for handle in handles:
+                handle._error = error
+            self.close()
             return
         self._mark_pool()
         self.stats.busy_worker_seconds += busy_seconds
         self.stats.exec_seconds += busy_seconds
-        for handle, result in zip(chunk.items, results):
+        for handle, result in zip(handles, results):
             self._commit(handle, result)
-        # Cold runners tear the pool down whenever the in-flight set
-        # drains — also for callers driving submit()/wait() directly, so
-        # "cold" keeps meaning per-batch pools under the futures API.
-        if not self.warm and not self._async_chunks:
-            self._close_pool()
 
-    def _wait_jobfile(self, handle: SpecFuture) -> None:
-        assert self._jobfile is not None and self.cache is not None
-        backend = self._jobfile
-        started = time.perf_counter()
-        while not handle._done:
-            # Drain the queue ourselves: progress never depends on
-            # external workers being attached.
-            claimed = backend.claim()
-            if claimed is not None:
-                for spec in backend.load_chunk(claimed):
-                    key = spec.content_hash()
-                    if self.cache.get(spec, key=key) is None:
-                        self.cache.put(spec, execute_spec(spec), key=key)
-                    backend.heartbeat(claimed)
-                backend.finish(claimed)
-            # Harvest every in-flight jobfile handle the cache can now
-            # satisfy (local execution above, or remote sweep-workers).
-            for pending in [h for h in self._inflight.values()
-                            if h._jobfile]:
-                hit = self.cache.get(pending.spec, key=pending.key)
-                if hit is not None:
-                    self._commit(pending, hit, put=False)
-            if handle._done:
-                break
-            if claimed is not None:
-                continue
-            if backend.reclaim_stale(self.claim_timeout):
-                continue
-            time.sleep(self.poll_seconds)
-        self.stats.exec_seconds += time.perf_counter() - started
-
-    # -- pool internals
-
-    def _pool_target(self, pending_count: int) -> int:
-        if self.pool_scaling == "elastic":
-            return max(1, min(self.workers, os.cpu_count() or 1))
-        return (self.workers if self.warm
-                else min(self.workers, pending_count))
-
-    def _ensure_pool(self, size: int) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             started = time.perf_counter()
+            size = max(1, min(self.workers, os.cpu_count() or 1))
             context = (multiprocessing.get_context(self.mp_context)
                        if self.mp_context is not None else None)
             self._pool = ProcessPoolExecutor(max_workers=size,
                                              mp_context=context,
                                              initializer=_init_worker)
-            if self.pool_scaling == "eager":
-                # Occupy every slot briefly so the executor spawns its
-                # full complement now; startup cost lands here, not in
-                # chunk 1. Elastic pools skip this on purpose: the
-                # executor spawns workers lazily as submissions arrive.
-                probes = [self._pool.submit(_pool_probe, 0.05)
-                          for _ in range(size)]
-                for probe in probes:
-                    probe.result()
+            # Occupy every slot briefly so the executor spawns its full
+            # complement now: startup cost lands here, not in chunk 1.
+            probes = [self._pool.submit(_pool_probe, 0.05)
+                      for _ in range(size)]
+            for probe in probes:
+                probe.result()
             self._pool_size = size
             self._pool_mark = time.perf_counter()
             self.stats.pool_startup_seconds += time.perf_counter() - started
             self.stats.pools_started += 1
         return self._pool
 
-    def _chunk_count(self, spec_count: int, pool_size: int) -> int:
-        if self.chunk_size is not None:
-            return math.ceil(spec_count / self.chunk_size)
-        # ~4 chunks per worker balances load without per-spec round-trips.
-        return min(spec_count, 4 * pool_size)
-
 
 def run_specs(specs: Sequence[RunSpec], workers: int = 0,
               cache: Optional[Union[str, pathlib.Path]] = None,
               runner: Optional[SweepRunner] = None) -> list[JobResult]:
-    """Convenience wrapper: run specs through ``runner`` or a fresh
-    :class:`SweepRunner` built from ``workers``/``cache`` (closed before
-    returning — callers wanting a warm pool across calls pass ``runner``).
-    """
+    """Run specs through ``runner``, or through a fresh
+    :class:`SweepRunner` built from ``workers``/``cache`` and closed
+    before returning."""
     if runner is not None:
         return runner.run(specs)
     with SweepRunner(workers=workers, cache_dir=cache) as local:

@@ -41,17 +41,14 @@ from repro.cluster.tenancy.policies import (FairSharePolicy, FifoPolicy,
                                             InterJobPolicy, POLICY_NAMES,
                                             ReservedQuotaPolicy, make_policy,
                                             reserved_quotas)
-from repro.cluster.tenancy.speculation import (DispatchPredictor,
-                                               SpeculationStats,
-                                               SpeculativeBatchExecutor)
 
 __all__ = [
-    "ArrivalConfig", "DispatchPredictor", "DiurnalArrivalProcess",
+    "ArrivalConfig", "DiurnalArrivalProcess",
     "EvictionWaveProcess",
     "FairSharePolicy", "FifoPolicy", "InterJobPolicy", "JobOutcome",
     "JobRecord",
     "JobRequest", "JobTemplate", "MultiTenantCluster", "POLICY_NAMES",
-    "ReservedQuotaPolicy", "SpeculationStats", "SpeculativeBatchExecutor",
+    "ReservedQuotaPolicy",
     "TenancyConfig", "TenancyResult",
     "WAVE_RATE_PER_HOUR", "make_policy", "reserved_quotas",
 ]

@@ -21,7 +21,7 @@ arrival-ordered queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,21 +58,6 @@ class JobOutcome:
 #: ``SweepRunner``; tests inject stubs.
 BatchExecutor = Callable[[Sequence[tuple[JobRequest, WaveOffsets]]],
                          Sequence[JobOutcome]]
-
-
-class Speculator(Protocol):
-    """What the cluster needs from a speculative executor (implemented by
-    :class:`repro.cluster.tenancy.speculation.SpeculativeBatchExecutor`,
-    which is also the ``execute_batch`` callable in practice): ``bind``
-    attaches it to the cluster before the event loop starts, ``refill``
-    is invoked after every dispatch attempt to keep guesses in flight,
-    and ``finish`` discards leftovers at run teardown."""
-
-    def bind(self, cluster: "MultiTenantCluster") -> None: ...
-
-    def refill(self) -> None: ...
-
-    def finish(self) -> None: ...
 
 
 @dataclass
@@ -196,8 +181,7 @@ class MultiTenantCluster:
 
     def __init__(self, config: TenancyConfig,
                  execute_batch: BatchExecutor,
-                 policy: Optional[InterJobPolicy] = None,
-                 speculator: Optional[Speculator] = None) -> None:
+                 policy: Optional[InterJobPolicy] = None) -> None:
         self.config = config
         self._execute_batch = execute_batch
         self.policy = policy if policy is not None else make_policy(
@@ -215,13 +199,6 @@ class MultiTenantCluster:
         self.controller: Optional[ElasticReserveController] = None
         if config.reserve == "elastic":
             self.controller = ElasticReserveController(config.num_reserved)
-        # State a DispatchPredictor projects forward: the full request
-        # schedule with a cursor marking which arrivals already fired,
-        # and the exact finish instant of every in-flight job.
-        self._speculator = speculator
-        self._requests: list[JobRequest] = []
-        self._arrival_cursor = 0
-        self._pending_completions: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # schedule generation and validation
@@ -266,7 +243,6 @@ class MultiTenantCluster:
     # event handlers
 
     def _on_arrival(self, request: JobRequest) -> None:
-        self._arrival_cursor += 1
         self._queue.append(request)
         self._try_dispatch()
 
@@ -282,7 +258,6 @@ class MultiTenantCluster:
 
     def _on_completion(self, job_id: str) -> None:
         now = self._sim.now
-        self._pending_completions.pop(job_id, None)
         record = self._records[job_id]
         record.finish_time = now
         record.container_seconds = self.pool.release_job(job_id, now)
@@ -315,19 +290,9 @@ class MultiTenantCluster:
                 record = self._records[request.job_id]
                 record.completed = bool(outcome.completed)
                 record.evictions = int(outcome.evictions)
-                # The finish instant is fixed (and recorded) the moment
-                # the outcome lands — this is what makes pending
-                # completions exactly predictable between dispatches.
-                finish = now + float(outcome.jct_seconds)
-                self._pending_completions[request.job_id] = finish
                 self._sim.schedule_at_fast(
-                    finish,
+                    now + float(outcome.jct_seconds),
                     lambda job_id=request.job_id: self._on_completion(job_id))
-        if self._speculator is not None:
-            # Capacity or queue state changed: refresh the guesses about
-            # what dispatches next, onto workers that would otherwise
-            # idle until the next outer event.
-            self._speculator.refill()
 
     # ------------------------------------------------------------------
     # driver
@@ -335,7 +300,6 @@ class MultiTenantCluster:
     def run(self) -> TenancyResult:
         """Simulate the whole run; returns once every job has finished."""
         requests = self._generate()
-        self._requests = requests
         if self.controller is not None and requests:
             # No conversion may ever make a generated demand unsatisfiable.
             self.controller.set_floors(
@@ -349,17 +313,7 @@ class MultiTenantCluster:
             self._sim.schedule_at_fast(
                 time, lambda severity=severity: self._on_wave(severity),
                 priority=-1)
-        if self._speculator is not None:
-            # Prime the pipeline before the first event: the whole
-            # arrival schedule is known, so the first dispatches can be
-            # in flight before the loop even reaches them.
-            self._speculator.bind(self)
-            self._speculator.refill()
-        try:
-            self._sim.run()
-        finally:
-            if self._speculator is not None:
-                self._speculator.finish()
+        self._sim.run()
         if self._queue:
             stuck = ", ".join(r.job_id for r in self._queue[:5])
             raise SimulationError(

@@ -271,10 +271,19 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     path.parent.mkdir(parents=True)
     path.write_text("{not json")
     assert cache.get(spec) is None
+    assert (cache.corrupt, cache.misses) == (1, 0)
     runner = SweepRunner(cache_dir=tmp_path)
     runner.run([spec])
     assert runner.stats.simulated == 1
-    assert cache.get(spec) is not None
+    assert runner.stats.cache_corrupt == 1
+    assert "1 corrupt cache entries" in str(runner.stats)
+    assert runner.stats.to_dict()["cache_corrupt"] == 1
+    assert cache.get(spec) is not None            # overwritten whole
+    # a truncated (valid-prefix) entry counts too; a missing one is a miss
+    path.write_text(path.read_text()[:40])
+    fresh = ResultCache(tmp_path)
+    assert fresh.get(spec) is None and fresh.corrupt == 1
+    assert fresh.get(tiny_spec(seed=99)) is None and fresh.misses == 1
 
 
 def test_cache_refuses_non_json_results(tmp_path):

@@ -1,10 +1,10 @@
-"""Warm-pool, build-cache, and jobfile-backend tests for the runner.
+"""Worker-pool and build-cache tests for the runner.
 
 The parity tests here run pools under ``mp_context="fork"`` — start
 method changes where workers come from, never what they compute, and
-fork keeps the 8-worker matrix cells fast. The default spawn context is
-covered by :func:`test_default_spawn_pool_is_bit_identical` (and by the
-workers>1 tests in test_runner.py / test_multitenant.py).
+fork keeps the pool cells fast. The default spawn context is covered by
+:func:`test_default_spawn_pool_is_bit_identical` (and by the workers>1
+tests in test_runner.py / test_multitenant.py).
 """
 
 import dataclasses
@@ -12,18 +12,16 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.bench.experiments import eviction_rate_sweep
 from repro.bench.multitenant import (cell_summary, make_cell_config,
                                      run_multitenant_cell)
-from repro.bench.runner import (JobFileBackend, ResultCache, RunSpec,
-                                SweepRunner, _BuildCache, build_cache,
-                                canonical_result_json, code_fingerprint,
-                                execute_spec, run_specs, spec_from_dict,
-                                spec_to_dict, sweep_worker_loop, PoolSpec)
+from repro.bench.runner import (ResultCache, RunSpec, SweepRunner,
+                                _BuildCache, build_cache,
+                                canonical_result_json, execute_spec,
+                                run_specs, PoolSpec)
 from repro.trace import EvictionRate
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -60,17 +58,6 @@ def test_warm_pool_persists_across_runs_and_stays_bit_identical():
     assert result_rows(second) == serial
 
 
-def test_cold_pool_restarts_every_run():
-    specs = [tiny_spec(seed=s) for s in (1, 2)]
-    with SweepRunner(workers=2, warm=False, mp_context="fork") as runner:
-        runner.run(specs)
-        assert runner.stats.pools_started == 1
-        assert runner._pool is None                  # torn down after run
-        runner.run([tiny_spec(seed=9)])   # even one spec pays a pool
-        runner.run(specs)
-        assert runner.stats.pools_started == 3
-
-
 def test_closed_runner_restarts_a_fresh_pool():
     specs = [tiny_spec(seed=s) for s in (1, 2)]
     runner = SweepRunner(workers=2, mp_context="fork")
@@ -92,6 +79,46 @@ def test_default_spawn_pool_is_bit_identical():
         pooled = runner.run(specs)
         assert runner.stats.pool_startup_seconds > 0.0
     assert result_rows(pooled) == serial
+
+
+def test_pool_is_capped_at_the_core_count(monkeypatch):
+    """More workers than cores only adds startup: ``workers=8`` on a
+    2-core host starts (and times) a pool of 2."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    specs = [tiny_spec(seed=s) for s in (1, 2, 3)]
+    with SweepRunner(workers=8, mp_context="fork") as runner:
+        pooled = runner.run(specs)
+        assert len(runner._pool._processes) == 2
+        assert runner.stats.pools_started == 1
+        assert runner.stats.pool_startup_seconds > 0.0
+    assert result_rows(pooled) == result_rows(run_specs(specs))
+
+
+def test_worker_failure_propagates_through_wait():
+    bad = RunSpec(workload="no-such-workload", engine="pado", **TINY)
+    with SweepRunner(workers=2, mp_context="fork") as runner:
+        [handle] = runner.submit_many([bad])
+        with pytest.raises(Exception):
+            runner.wait(handle)
+        assert runner._pool is None               # the broken pool is gone
+        # the runner recovers: a fresh pool serves the next submission
+        assert runner.run([tiny_spec(seed=1)]) == run_specs(
+            [tiny_spec(seed=1)])
+        assert runner.stats.pools_started == 2
+
+
+def test_pool_occupancy_is_accounted():
+    with SweepRunner(workers=2, mp_context="fork") as runner:
+        runner.run([tiny_spec(seed=s) for s in (1, 2, 3, 4)])
+        stats = runner.stats
+    assert stats.busy_worker_seconds > 0.0
+    assert stats.pool_worker_seconds > 0.0
+    assert 0.0 < stats.pool_occupancy <= 1.5      # headroom for clock skew
+    data = stats.to_dict()
+    assert data["pool_occupancy"] == stats.pool_occupancy
+    serial = SweepRunner(workers=0)
+    serial.run([tiny_spec(seed=1)])
+    assert serial.stats.pool_occupancy == 0.0
 
 
 def test_runner_stats_timing_and_dict():
@@ -128,26 +155,24 @@ def test_content_hash_computed_once_per_spec_per_run(tmp_path, monkeypatch):
 # bit-identity matrices: mtsweep cell and fig6 cell
 
 
-POOL_MATRIX = [(2, True), (8, True), (8, False)]
+POOL_MATRIX = [2, 8]
 
 
-@pytest.mark.parametrize("workers,warm", POOL_MATRIX)
-def test_mtsweep_cell_bit_identical_across_pools(workers, warm):
+@pytest.mark.parametrize("workers", POOL_MATRIX)
+def test_mtsweep_cell_bit_identical_across_pools(workers):
     config = make_cell_config("fair", 0.8, "medium", num_jobs=8, seed=5)
     serial = run_multitenant_cell(config, runner=SweepRunner(workers=0))
-    with SweepRunner(workers=workers, warm=warm,
-                     mp_context="fork") as runner:
+    with SweepRunner(workers=workers, mp_context="fork") as runner:
         pooled = run_multitenant_cell(config, runner=runner)
     assert cell_summary(config, serial) == cell_summary(config, pooled)
 
 
-@pytest.mark.parametrize("workers,warm", POOL_MATRIX)
-def test_fig6_cell_bit_identical_across_pools(workers, warm):
+@pytest.mark.parametrize("workers", POOL_MATRIX)
+def test_fig6_cell_bit_identical_across_pools(workers):
     kwargs = dict(scale=0.05, rates=(EvictionRate.NONE, EvictionRate.HIGH),
                   engines=["pado", "spark"])
     serial = eviction_rate_sweep("mlr", **kwargs)
-    with SweepRunner(workers=workers, warm=warm,
-                     mp_context="fork") as runner:
+    with SweepRunner(workers=workers, mp_context="fork") as runner:
         pooled = eviction_rate_sweep("mlr", runner=runner, **kwargs)
     assert serial == pooled
 
@@ -246,123 +271,34 @@ def test_result_cache_memory_layer_evicts_lru(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# jobfile backend
+# process history
 
 
-def test_spec_json_round_trip_preserves_content_hash():
-    import json
-    specs = [
-        tiny_spec(),
-        RunSpec.make("mlr", "pado",
-                     engine_options={"enable_caching": False,
-                                     "aggregation_max_tasks": 4},
-                     transient_pools=[PoolSpec("short", 4, 90.0)]),
-        tiny_spec(eviction="none",
-                  eviction_waves=((60.0, 0.5), (300.25, 0.4))),
-    ]
-    for spec in specs:
-        wire = json.loads(json.dumps(spec_to_dict(spec)))
-        rebuilt = spec_from_dict(wire)
-        assert rebuilt == spec
-        assert rebuilt.content_hash() == spec.content_hash()
+HISTORY_PROBE = """
+import sys
+from repro.bench.runner import RunSpec, canonical_result_json, execute_spec
+small = RunSpec(workload="mlr", engine="pado", seed=11, num_reserved=3,
+                num_transient=24, eviction="high")
+if sys.argv[1] == "after":
+    execute_spec(RunSpec(workload="mlr", engine="pado", seed=11,
+                         num_reserved=5, num_transient=40, eviction="high"))
+print(canonical_result_json(execute_spec(small)))
+"""
 
 
-def test_jobfile_runner_drains_queue_without_workers(tmp_path):
-    specs = [tiny_spec(seed=s) for s in (1, 2, 3)]
-    serial = result_rows(run_specs(specs))
-    with SweepRunner(backend="jobfile", job_dir=tmp_path / "jobs",
-                     chunk_size=2) as runner:
-        results = runner.run(specs)
-        assert runner.stats.chunks == 2
-    assert result_rows(results) == serial
-    # nothing left behind, and a second runner replays from the cache
-    backend = JobFileBackend(tmp_path / "jobs")
-    assert not list(backend.queue_dir.iterdir())
-    assert not list(backend.claimed_dir.iterdir())
-    with SweepRunner(backend="jobfile", job_dir=tmp_path / "jobs") as again:
-        replay = again.run(specs)
-        assert again.stats.simulated == 0
-        assert again.stats.cache_hits == 3
-    assert result_rows(replay) == serial
-
-
-def test_jobfile_requires_job_dir():
-    with pytest.raises(ValueError):
-        SweepRunner(backend="jobfile")
-    with pytest.raises(ValueError):
-        SweepRunner(job_dir="/tmp/somewhere")     # only valid with jobfile
-
-
-def test_jobfile_stale_claims_are_reclaimed(tmp_path):
-    backend = JobFileBackend(tmp_path / "jobs")
-    backend.enqueue_chunk([tiny_spec(seed=1)])
-    claimed = backend.claim()
-    assert claimed is not None
-    assert backend.claim() is None                # exactly one claimant wins
-    os.utime(claimed, (0, 0))                     # crashed long ago
-    assert backend.reclaim_stale(60.0) == 1
-    reclaimed = backend.claim()
-    assert reclaimed is not None
-    assert backend.load_chunk(reclaimed)[0] == tiny_spec(seed=1)
-
-
-def test_sweep_worker_loop_processes_enqueued_chunks(tmp_path):
-    backend = JobFileBackend(tmp_path / "jobs")
-    specs = [tiny_spec(seed=s) for s in (1, 2, 3)]
-    backend.enqueue_chunk(specs[:2])
-    backend.enqueue_chunk(specs[2:])
-    assert sweep_worker_loop(tmp_path / "jobs", once=True) == 2
-    cache = ResultCache(backend.cache_dir)
-    assert all(cache.get(spec) is not None for spec in specs)
-
-
-def test_jobfile_crash_recovery_completes_from_cache(tmp_path):
-    """Kill a sweep-worker subprocess mid-chunk; a rerun finishes only
-    what the dead worker had not committed, and the final results are
-    bit-identical to serial."""
-    job_dir = tmp_path / "jobs"
-    backend = JobFileBackend(job_dir)
-    specs = [RunSpec(workload="mr", engine="pado", scale=0.3, seed=s,
-                     eviction="high") for s in (1, 2, 3)]
-    backend.enqueue_chunk(specs)                  # one chunk, ~0.6 s/spec
-
+@pytest.mark.xfail(strict=True, reason=(
+    "the process-wide container-id counter (repro.cluster.resources) "
+    "feeds Pado's executor_id % n routing, so a result depends on what "
+    "ran before it in the process; pooled results can differ from serial"))
+def test_results_do_not_depend_on_process_history():
+    """Pado MLR 24T+3R at high eviction, seed 11, in a fresh interpreter
+    and after the 40T+5R cell: a pool that runs both in one worker must
+    give the result a fresh serial run gives."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "repro", "sweep-worker", str(job_dir),
-         "--once"], env=env, cwd=REPO_ROOT,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        # SIGKILL as soon as the first committed result appears — the
-        # worker is then mid-chunk with two specs still unfinished.
-        result_dir = backend.cache_dir / code_fingerprint()
-        deadline = time.time() + 60.0
-        while time.time() < deadline:
-            if result_dir.is_dir() and any(result_dir.glob("*.json")):
-                break
-            if worker.poll() is not None:
-                break
-            time.sleep(0.02)
-        worker.kill()
-    finally:
-        worker.wait()
-
-    committed = (len(list(result_dir.glob("*.json")))
-                 if result_dir.is_dir() else 0)
-    assert committed >= 1, "worker never committed a result"
-    if committed < len(specs):
-        # died mid-chunk: the claim file is still parked in claimed/
-        assert list(backend.claimed_dir.glob("chunk-*.json"))
-
-    # Recovery: reclaim the orphaned chunk immediately and finish it.
-    # (claim_timeout=-1 treats every parked claim as stale.)
-    sweep_worker_loop(job_dir, once=True, claim_timeout=-1.0)
-    cache = ResultCache(backend.cache_dir)
-    assert all(cache.get(spec) is not None for spec in specs)
-
-    with SweepRunner(backend="jobfile", job_dir=job_dir) as runner:
-        recovered = runner.run(specs)
-        assert runner.stats.cache_hits == len(specs)
-        assert runner.stats.simulated == 0
-    assert result_rows(recovered) == result_rows(run_specs(specs))
+    outputs = [subprocess.run([sys.executable, "-c", HISTORY_PROBE, order],
+                              env=env, cwd=REPO_ROOT, capture_output=True,
+                              text=True, check=True).stdout
+               for order in ("fresh", "after")]
+    assert outputs[0] == outputs[1]

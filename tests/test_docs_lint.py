@@ -54,3 +54,33 @@ def test_check_docs_catches_broken_snippet(tmp_path):
         check_docs.REPO = original
     assert len(problems) == 1
     assert "does not parse" in problems[0]
+
+
+def test_check_docs_parses_documented_cli_command_lines(tmp_path):
+    """A flag or mode the CLI no longer has cannot linger in the docs,
+    in a shell block or an inline code span; comments, pipes and bare
+    mentions of the CLI are fine."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("check_docs", SCRIPT)
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "# x\n```sh\n"
+        "PYTHONPATH=src python -m repro mtsweep --workers 2 \\\n"
+        "    --load 0.8   # a comment\n"
+        "python -m repro list | head\n"
+        "python -m repro fig7 --no-such-flag\n"
+        "```\n"
+        "Driven by `python -m repro`; see `python -m repro\n"
+        "no-such-mode --workers 2`.\n")
+    original = check_docs.REPO
+    try:
+        check_docs.REPO = tmp_path
+        problems = check_docs.check_cli_command_lines()
+    finally:
+        check_docs.REPO = original
+    assert len(problems) == 2, problems
+    assert "line 6" in problems[0] and "--no-such-flag" in problems[0]
+    assert "line 8" in problems[1] and "no-such-mode" in problems[1]

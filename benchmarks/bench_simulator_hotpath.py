@@ -2,8 +2,8 @@
 
 The event loop dominates every experiment (a 0.2-scale MLR run executes a
 few hundred thousand events), so this file pins its performance:
-schedule/step throughput, handle-free fast scheduling, cancellation +
-compaction, and one end-to-end engine run. ``BENCH_simulator.json`` in
+schedule/step throughput, cancellation + compaction, and one end-to-end
+engine run. ``BENCH_simulator.json`` in
 this directory is the committed baseline; regenerate it after intentional
 changes with::
 
@@ -31,16 +31,7 @@ def _noop() -> None:
 def _schedule_and_drain() -> int:
     sim = Simulator()
     for i in range(N_EVENTS):
-        sim.schedule(float(i % 97), _noop)
-    while sim.step():
-        pass
-    return sim.events_processed
-
-
-def _schedule_fast_and_drain() -> int:
-    sim = Simulator()
-    for i in range(N_EVENTS):
-        sim.schedule_fast(float(i % 97), _noop)
+        sim.schedule_at(sim.now + float(i % 97), _noop)
     while sim.step():
         pass
     return sim.events_processed
@@ -48,23 +39,18 @@ def _schedule_fast_and_drain() -> int:
 
 def _cancel_storm() -> int:
     sim = Simulator()
-    handles = [sim.schedule(float(i % 97) + 1.0, _noop)
-               for i in range(N_EVENTS)]
-    for handle in handles:
-        handle.cancel()
+    tokens = [sim.schedule_at(sim.now + float(i % 97) + 1.0, _noop)
+              for i in range(N_EVENTS)]
+    for token in tokens:
+        sim.cancel(token)
     sim.run()
     return sim.pending_events
 
 
 def test_schedule_step_hot_path(benchmark):
-    """Handle-returning schedule + step: the general-purpose path."""
+    """schedule_at + step, near-term delays on the heap and the rest on
+    the wheel: the one scheduling path every event takes."""
     processed = benchmark(_schedule_and_drain)
-    assert processed == N_EVENTS
-
-
-def test_schedule_fast_hot_path(benchmark):
-    """Handle-free scheduling: what transfer/compute completions use."""
-    processed = benchmark(_schedule_fast_and_drain)
     assert processed == N_EVENTS
 
 

@@ -12,9 +12,10 @@ Checks three things:
   examples cannot rot into syntax errors silently;
 * every ``python -m repro ...`` command line in ``README.md``,
   ``docs/*.md`` and ``.claude/skills/verify/SKILL.md`` — in a shell code
-  block or an inline code span — parses with the CLI's real argparse
-  parser (``repro.__main__.build_parser``), so a removed flag or mode
-  cannot linger in the docs. This check imports ``repro`` from
+  block or an inline code span — and in the usage block of the module
+  docstring of ``src/repro/__main__.py`` parses with the CLI's real
+  argparse parser (``repro.__main__.build_parser``), so a removed flag or
+  mode cannot linger in the docs. This check imports ``repro`` from
   ``src/``; the other two need only the standard library.
 
 Exit status 0 when clean; prints each problem and exits 1 otherwise.
@@ -22,6 +23,7 @@ Exit status 0 when clean; prints each problem and exits 1 otherwise.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import pathlib
@@ -32,6 +34,8 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 ARCHITECTURE = REPO / "docs" / "ARCHITECTURE.md"
+#: The CLI module, whose docstring carries its usage block.
+MAIN = SRC / "__main__.py"
 
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 #: Any fenced block: ``(info string, body)``.
@@ -120,6 +124,24 @@ def cli_command_lines(text: str) -> list[tuple[int, str]]:
     return found
 
 
+def usage_command_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, argv text after 'python -m repro')`` for every
+    command line in a Python module's docstring, with the ``[...]``
+    brackets around optional groups stripped."""
+    module = ast.parse(text)
+    if ast.get_docstring(module) is None:
+        return []
+    docstring = module.body[0]
+    lines = text.splitlines()
+    found = []
+    for number in range(docstring.lineno, docstring.end_lineno + 1):
+        line = lines[number - 1].replace("[", "").replace("]", "")
+        command = COMMAND.match(line.strip())
+        if command:
+            found.append((number, command.group(1)))
+    return found
+
+
 def cli_argv(rest: str) -> list[str]:
     """Shell-split the arguments, dropping comments and anything after a
     pipe, redirect or command separator."""
@@ -136,9 +158,13 @@ def check_cli_command_lines() -> list[str]:
         sys.path.insert(0, str(REPO / "src"))
     from repro.__main__ import build_parser
     parser = build_parser()
+    sources = [(document, cli_command_lines(document.read_text()))
+               for document in cli_documents()]
+    if MAIN.exists():
+        sources.append((MAIN, usage_command_lines(MAIN.read_text())))
     problems = []
-    for document in cli_documents():
-        for line, rest in cli_command_lines(document.read_text()):
+    for document, commands in sources:
+        for line, rest in commands:
             stderr = io.StringIO()
             try:
                 argv = cli_argv(rest)          # ValueError: unclosed quote

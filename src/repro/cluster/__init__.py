@@ -6,7 +6,7 @@ eviction-free storage services, and the resource manager that drives the
 eviction schedule — everything the paper's EC2/YARN testbed provided.
 """
 
-from repro.cluster.events import EventHandle, Simulator
+from repro.cluster.events import Simulator
 from repro.cluster.manager import (ContainerLease, LeasePool,
                                    ResourceManager, TransientPool)
 from repro.cluster.network import (ContainerEndpoint, DiskModel, FifoPort,
@@ -20,7 +20,7 @@ from repro.cluster.storage import InputStore, StableStore
 __all__ = [
     "Container", "ContainerEndpoint", "ContainerKind", "ContainerLease",
     "DiskModel",
-    "EventHandle", "FifoPort", "GB", "InfiniteEndpoint", "InputStore",
+    "FifoPort", "GB", "InfiniteEndpoint", "InputStore",
     "LeasePool", "MB",
     "NetworkModel", "NodeSpec", "RESERVED_NODE", "ResourceManager",
     "TransientPool",

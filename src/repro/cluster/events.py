@@ -8,6 +8,11 @@ reproducibility given a seed. To that end events are ordered by
 insertion order, and the simulator never consults wall-clock time or global
 random state.
 
+:meth:`Simulator.schedule_at` is the one way to queue an event. Callers
+with a delay write ``sim.schedule_at(sim.now + delay, callback)``; the
+returned entry doubles as the cancellation token for
+:meth:`Simulator.cancel`, so cancellable events cost nothing extra.
+
 The event loop is the hottest code in the repository (a 0.2-scale MLR run
 executes several hundred thousand events), so the heap stores plain
 ``[time, priority, seq, callback]`` lists rather than objects: list
@@ -15,23 +20,19 @@ construction is a single C call and heap comparisons short-circuit on the
 leading floats without ever reaching the callback slot (``seq`` is unique).
 Cancellation tombstones an entry by clearing its callback slot; tombstones
 are skipped on pop and compacted away in bulk once they outnumber live
-entries (see :meth:`EventHandle.cancel`). Call sites that never cancel
-should use :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast`,
-which skip the :class:`EventHandle` allocation entirely.
+entries.
 
 Beside the heap sits a *calendar queue* (a single-level timer wheel):
-far-future events land in coarse time buckets instead of the heap, and a
-whole bucket spills into the heap just before the simulation reaches its
-start. Large homogeneous timer populations — the per-container eviction
-ticks of a 10k-container cluster, long-idle port drain timers — therefore
-never inflate the heap (and every push/pop's log factor) while they are
-minutes away. Ordering is untouched: every wheel entry takes its ``seq``
-at schedule time and keeps its ``(time, priority, seq)`` triple, and a
-bucket is merged before any event at or past its start can pop, so the
-merged pop order is bit-identical to scheduling everything on the heap.
-:meth:`Simulator.schedule_wheel` is the explicit entry point (used by the
-resource manager's eviction ticks); :meth:`Simulator.schedule_at_seq`
-routes far-future port timers to the wheel transparently.
+events due one bucket width or more from now land in coarse time buckets
+instead of the heap, and a whole bucket spills into the heap just before
+the simulation reaches its start. Large homogeneous timer populations —
+the per-container eviction ticks of a 10k-container cluster, long-idle
+port drain timers — therefore never inflate the heap (and every push/pop's
+log factor) while they are minutes away. Routing is by due time alone and
+never changes the order: every wheel entry takes its ``seq`` at schedule
+time and keeps its ``(time, priority, seq)`` triple, and a bucket is
+merged before any event at or past its start can pop, so the merged pop
+order is bit-identical to scheduling everything on the heap.
 """
 
 from __future__ import annotations
@@ -58,31 +59,7 @@ _COMPACT_MIN_CANCELLED = 64
 #: heap-size reduction).
 _WHEEL_WIDTH = 64.0
 
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_sim", "_entry")
-
-    def __init__(self, sim: "Simulator", entry: list) -> None:
-        self._sim = sim
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event will fire."""
-        return self._entry[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; safe to call multiple times."""
-        entry = self._entry
-        if entry[_CALLBACK] is not None:
-            entry[_CALLBACK] = None
-            self._sim._note_cancel()
+_INF = math.inf
 
 
 class Simulator:
@@ -92,7 +69,9 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(5.0, lambda: fired.append(sim.now))
+    >>> _ = sim.schedule_at(sim.now + 5.0, lambda: fired.append(sim.now))
+    >>> token = sim.schedule_at(7.0, lambda: fired.append(sim.now))
+    >>> sim.cancel(token)
     >>> sim.run()
     >>> fired
     [5.0]
@@ -126,68 +105,62 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of entries still queued, on the heap or the wheel
-        (including cancelled heap entries that have not yet been popped or
+        (including cancelled entries that have not yet been popped or
         compacted away)."""
         return len(self._heap) + self._wheel_count
 
     @property
     def cancelled_pending(self) -> int:
-        """Number of cancelled entries still occupying heap slots."""
+        """Number of cancelled entries still queued, on the heap or the
+        wheel."""
         return self._cancelled
 
-    def schedule(self, delay: float, callback: Callback,
-                 priority: int = 0) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
-
-        ``priority`` breaks ties among events at the same time: lower
-        priorities fire first. Negative delays are rejected.
-        """
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(f"cannot schedule event {delay} s in the past")
-        return self.schedule_at(self._now + delay, callback, priority)
-
     def schedule_at(self, time: float, callback: Callback,
-                    priority: int = 0) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now ({self._now})")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [time, priority, seq, callback]
-        heappush(self._heap, entry)
-        return EventHandle(self, entry)
+                    priority: int = 0, seq: Optional[int] = None) -> list:
+        """Schedule ``callback`` at the absolute simulated ``time``.
 
-    def schedule_fast(self, delay: float, callback: Callback,
-                      priority: int = 0) -> None:
-        """:meth:`schedule` without allocating an :class:`EventHandle`.
+        ``time`` must be finite and not before ``now`` (NaN is rejected).
+        ``priority`` breaks ties among events at the same time: lower
+        priorities fire first. ``seq`` (from :meth:`take_seq`) replaces
+        the fresh tie-break number; the caller must not keep two live
+        events under one seq — tied entries would compare on the callback
+        slot. Events due one bucket width or more from now are parked on
+        the wheel, the rest go on the heap; the pop order is the same
+        either way.
 
-        The fast path for the (overwhelmingly common) events that are never
-        cancelled: transfer/disk completions, task-compute timers, eviction
-        firings.
+        Returns the queued entry as an opaque token for :meth:`cancel`.
         """
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(f"cannot schedule event {delay} s in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, [self._now + delay, priority, seq, callback])
-
-    def schedule_at_fast(self, time: float, callback: Callback,
-                         priority: int = 0) -> None:
-        """:meth:`schedule_at` without allocating an :class:`EventHandle`."""
-        if time < self._now:
+        now = self._now
+        if not now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule event at {time} before now ({self._now})")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, [time, priority, seq, callback])
+                f"cannot schedule event at {time}: must be finite and "
+                f"not before now ({now})")
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        entry = [time, priority, seq, callback]
+        if time - now >= _WHEEL_WIDTH:
+            self._wheel_put(entry)
+        else:
+            heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, token: list) -> None:
+        """Prevent the event behind ``token`` (from :meth:`schedule_at`)
+        from firing. Idempotent, and a no-op once the event has fired."""
+        if token[_CALLBACK] is not None:
+            token[_CALLBACK] = None
+            cancelled = self._cancelled = self._cancelled + 1
+            if (cancelled > _COMPACT_MIN_CANCELLED
+                    and cancelled * 2 > len(self._heap) + self._wheel_count):
+                self._compact()
 
     def take_seq(self) -> int:
         """Allocate one tie-break sequence number without scheduling.
 
         Flow-batched schedulers (:class:`~repro.cluster.network.NetworkModel`
         and ``DiskModel``) stamp every request with a seq at request time
-        and later arm their shared drain timer via :meth:`schedule_at_seq`
+        and later arm their shared drain timer via :meth:`schedule_at`
         under the head request's seq, so batched completions sort exactly
         where individually scheduled events would have.
         """
@@ -195,42 +168,24 @@ class Simulator:
         self._seq = seq + 1
         return seq
 
-    def schedule_at_seq(self, time: float, seq: int, callback: Callback,
-                        priority: int = 0) -> None:
-        """Schedule at an absolute time under a caller-provided ``seq``
-        (from :meth:`take_seq`). The caller must not keep two live events
-        under one seq — tied entries would compare on the callback slot.
+    def head_sorts_before(self, time: float, seq: int) -> bool:
+        """Whether the next queued entry, cancelled or not, sorts before
+        a priority-0 event at ``(time, seq)``.
 
-        Events more than one bucket width out are parked on the wheel
-        instead of the heap; they spill back (seq intact) before the
-        simulation reaches their bucket, so pop order is unchanged.
+        Flow-batched drains ask this for completions due at or before
+        ``now``, from inside an event: the wheel then holds nothing at or
+        before ``now`` (every bucket that could has spilled), so the heap
+        front is the queue front.
         """
-        now = self._now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now ({self._now})")
-        if time - now >= _WHEEL_WIDTH:
-            self._wheel_put([time, priority, seq, callback])
-        else:
-            heappush(self._heap, [time, priority, seq, callback])
-
-    def schedule_wheel(self, delay: float, callback: Callback,
-                       priority: int = 0) -> None:
-        """Handle-free scheduling through the calendar queue.
-
-        The entry point for large homogeneous far-future timer populations
-        (container eviction ticks). Entries cannot be cancelled; near-term
-        delays fall through to the heap, where bucketing would buy nothing.
-        """
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(f"cannot schedule event {delay} s in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [self._now + delay, priority, seq, callback]
-        if delay >= _WHEEL_WIDTH:
-            self._wheel_put(entry)
-        else:
-            heappush(self._heap, entry)
+        heap = self._heap
+        if not heap:
+            return False
+        top = heap[0]
+        head_time = top[_TIME]
+        if head_time != time:
+            return head_time < time
+        priority = top[_PRIORITY]
+        return priority < 0 or (priority == 0 and top[_SEQ] < seq)
 
     def _wheel_put(self, entry: list) -> None:
         index = int(entry[_TIME] // _WHEEL_WIDTH)
@@ -279,6 +234,9 @@ class Simulator:
             if callback is None:
                 self._cancelled -= 1
                 continue
+            # Clear the slot so a later cancel() of this token is a no-op
+            # and the tombstone count stays exact.
+            entry[_CALLBACK] = None
             time = entry[_TIME]
             if time < self._now:
                 raise SimulationError("event heap went backwards in time")
@@ -299,8 +257,8 @@ class Simulator:
         """
         executed = 0
         while True:
-            next_time = self._peek_time()
-            if next_time == math.inf:
+            next_time = self.peek_time()
+            if next_time == _INF:
                 break
             if until is not None and next_time > until:
                 break
@@ -313,44 +271,35 @@ class Simulator:
             self._now = until
 
     def peek_time(self) -> float:
-        """Time of the next pending event (inf if the heap is empty)."""
-        return self._peek_time()
-
-    def _peek_time(self) -> float:
+        """Time of the next pending event (inf if none is queued)."""
         heap = self._heap
         while True:
             if self._bucket_heap:
                 self._spill_due()
             if not heap:
-                return math.inf
+                return _INF
             if heap[0][_CALLBACK] is None:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
             return heap[0][_TIME]
 
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-
-    def _note_cancel(self) -> None:
-        # A handle can be cancelled after its event already fired (the
-        # entry is no longer in the heap); clamping keeps the tombstone
-        # estimate from drifting above the heap size.
-        cancelled = self._cancelled + 1
-        heap_size = len(self._heap)
-        self._cancelled = cancelled if cancelled <= heap_size else heap_size
-        if (self._cancelled > _COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > heap_size):
-            self._compact()
-
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
+        """Drop cancelled entries from the heap and the wheel, in place.
 
-        Long Spark runs under high eviction cancel many timers; without
-        compaction the heap (and every push/pop's log factor) grows with the
-        cancellation count rather than the live event count.
+        Pado's aggregation timers are cancelled whenever a buffer fills
+        or its executor is evicted; under high eviction at large scale
+        that is tens of thousands of cancels, and without compaction the
+        heap (and every push/pop's log factor) grows with the cancellation
+        count rather than the live event count.
         """
-        self._heap = [entry for entry in self._heap
-                      if entry[_CALLBACK] is not None]
-        heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[_CALLBACK] is not None]
+        heapify(heap)
+        wheel_count = 0
+        for bucket in self._buckets.values():
+            bucket[:] = [entry for entry in bucket
+                         if entry[_CALLBACK] is not None]
+            wheel_count += len(bucket)
+        self._wheel_count = wheel_count
         self._cancelled = 0

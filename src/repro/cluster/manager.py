@@ -188,11 +188,12 @@ class ResourceManager:
             if math.isfinite(lifetime):
                 # Eviction ticks are the archetypal wheel population: one
                 # minute-scale timer per transient container, never
-                # cancelled, so at 10k containers they would otherwise
+                # cancelled. Those due a bucket width or more out park on
+                # the simulator's wheel, so at 10k containers they never
                 # dominate the heap.
-                self._sim.schedule_wheel(lifetime,
-                                         lambda: self._evict(container),
-                                         priority=EVICTION_PRIORITY)
+                self._sim.schedule_at(now + lifetime,
+                                      lambda: self._evict(container),
+                                      priority=EVICTION_PRIORITY)
         self.slot_container[slot] = container
         self.containers.append(container)
         if self._on_container is not None:
@@ -258,7 +259,8 @@ class ResourceManager:
             if container.alive:
                 self.inject_failure(container, replace=replace)
 
-        self._sim.schedule_wheel(delay, fire, priority=EVICTION_PRIORITY)
+        self._sim.schedule_at(self._sim.now + delay, fire,
+                              priority=EVICTION_PRIORITY)
 
 
 # ----------------------------------------------------------------------

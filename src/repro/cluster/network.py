@@ -22,7 +22,7 @@ due completions, instead of one simulator event plus one closure per
 transfer. To keep batching bit-identical to per-transfer scheduling, every
 request takes a :meth:`~repro.cluster.events.Simulator.take_seq` tie-break
 number at request time, the timer is armed *under the head request's seq*,
-and the drain defers to any heap event that would have preceded the next
+and the drain defers to any queued event that would have preceded the next
 completion under ``(time, priority, seq)`` ordering. Simulated times, byte
 counters, failure semantics, and same-timestamp event order are identical;
 only the event count changes.
@@ -382,10 +382,7 @@ class NetworkModel:
             callback = lambda: on_done(result)  # noqa: E731
         else:
             callback = lambda: on_done(tag, result)  # noqa: E731
-        if seq is None:
-            self._sim.schedule_fast(0.0, callback)
-        else:
-            self._sim.schedule_at_seq(now, seq, callback)
+        self._sim.schedule_at(now, callback, seq=seq)
 
     def _enqueue(self, src: Endpoint, dst: Endpoint, size_bytes: float,
                  on_done: Callable, tag, seq: Optional[int] = None) -> None:
@@ -408,12 +405,12 @@ class NetworkModel:
             finish, seq, src, dst, size_bytes, now, on_done, tag))
         if not port.armed:
             port.armed = True
-            sim.schedule_at_seq(finish, seq, lambda: self._drain(port))
+            sim.schedule_at(finish, lambda: self._drain(port), seq=seq)
 
     def _drain(self, port: FifoPort) -> None:
         sim = self._sim
         now = sim.now
-        heap = sim._heap
+        head_sorts_before = sim.head_sorts_before
         pending = port.pending
         tracer = self.tracer
         pool = self._pool
@@ -424,16 +421,12 @@ class NetworkModel:
             finish = finish_col[row]
             if finish > now:
                 break
-            # Defer to any heap event that would have sorted before this
+            # Defer to any queued event that would have sorted before this
             # completion under per-transfer scheduling — including entries
             # appended by the callbacks below, whose fresh seqs land after
             # everything already queued at this timestamp.
-            if heap:
-                top = heap[0]
-                seq = seq_col[row]
-                if top[0] <= finish and (
-                        top[1] < 0 or (top[1] == 0 and top[2] < seq)):
-                    break
+            if head_sorts_before(finish, seq_col[row]):
+                break
             pending.popleft()
             src = pool.src[row]
             dst = pool.dst[row]
@@ -460,8 +453,8 @@ class NetworkModel:
                 on_done(tag, TransferResult(ok, now, int(size_bytes)))
         if pending:
             row = pending[0]
-            sim.schedule_at_seq(finish_col[row], seq_col[row],
-                                lambda: self._drain(port))
+            sim.schedule_at(finish_col[row], lambda: self._drain(port),
+                            seq=seq_col[row])
         else:
             port.armed = False
 
@@ -516,12 +509,12 @@ class DiskModel:
             end, seq, None, None, size_bytes, now, on_done, is_write))
         if not port.armed:
             port.armed = True
-            sim.schedule_at_seq(end, seq, self._drain)
+            sim.schedule_at(end, self._drain, seq=seq)
 
     def _drain(self) -> None:
         sim = self._sim
         now = sim.now
-        heap = sim._heap
+        head_sorts_before = sim.head_sorts_before
         port = self._port
         pending = port.pending
         tracer = self.tracer
@@ -533,12 +526,8 @@ class DiskModel:
             end = finish_col[row]
             if end > now:
                 break
-            if heap:
-                top = heap[0]
-                seq = seq_col[row]
-                if top[0] <= end and (
-                        top[1] < 0 or (top[1] == 0 and top[2] < seq)):
-                    break
+            if head_sorts_before(end, seq_col[row]):
+                break
             pending.popleft()
             size_bytes = pool.size[row]
             requested_at = pool.requested_at[row]
@@ -564,6 +553,6 @@ class DiskModel:
                 on_done(ok)
         if pending:
             row = pending[0]
-            sim.schedule_at_seq(finish_col[row], seq_col[row], self._drain)
+            sim.schedule_at(finish_col[row], self._drain, seq=seq_col[row])
         else:
             port.armed = False

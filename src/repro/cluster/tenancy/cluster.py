@@ -290,7 +290,7 @@ class MultiTenantCluster:
                 record = self._records[request.job_id]
                 record.completed = bool(outcome.completed)
                 record.evictions = int(outcome.evictions)
-                self._sim.schedule_at_fast(
+                self._sim.schedule_at(
                     now + float(outcome.jct_seconds),
                     lambda job_id=request.job_id: self._on_completion(job_id))
 
@@ -306,11 +306,11 @@ class MultiTenantCluster:
                 max(r.num_reserved for r in requests),
                 max(r.num_transient for r in requests))
         for request in requests:
-            self._sim.schedule_at_fast(
+            self._sim.schedule_at(
                 request.arrival_time,
                 lambda request=request: self._on_arrival(request))
         for time, severity in self._waves:
-            self._sim.schedule_at_fast(
+            self._sim.schedule_at(
                 time, lambda severity=severity: self._on_wave(severity),
                 priority=-1)
         self._sim.run()

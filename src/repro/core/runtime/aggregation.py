@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from repro.cluster.events import EventHandle, Simulator
+from repro.cluster.events import Simulator
 from repro.dataflow.functions import CombineFn
 
 
@@ -83,7 +83,7 @@ class AggregationBuffer:
         self._max_delay = max_delay
         self._flush_fn = flush_fn
         self._pending: list[Contribution] = []
-        self._timer: Optional[EventHandle] = None
+        self._timer: Optional[list] = None  # Simulator.cancel token
         self.flushes = 0
 
     @property
@@ -96,13 +96,13 @@ class AggregationBuffer:
         if len(self._pending) >= self._max_tasks:
             self.flush()
         elif self._timer is None:
-            self._timer = self._sim.schedule(self._max_delay,
-                                             self._on_timer)
+            self._timer = self._sim.schedule_at(
+                self._sim.now + self._max_delay, self._on_timer)
 
     def flush(self) -> None:
         """Merge and emit everything buffered so far."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
         if not self._pending:
             return
@@ -123,7 +123,7 @@ class AggregationBuffer:
     def discard(self) -> list[Contribution]:
         """Drop buffered data (executor evicted); returns what was lost."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
         lost = self._pending
         self._pending = []

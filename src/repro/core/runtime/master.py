@@ -290,8 +290,8 @@ class PadoMaster(MasterBase):
         category ``recompute_avoided``).
         """
         self._push_predictor = predictor
-        self.sim.schedule_fast(self.config.push_check_interval,
-                               self._push_tick)
+        self.sim.schedule_at(self.sim.now + self.config.push_check_interval,
+                             self._push_tick)
 
     def _push_tick(self) -> None:
         if self.completed:
@@ -314,8 +314,8 @@ class PadoMaster(MasterBase):
                         time=now, container=container.container_id,
                         probability=probability, age=age))
             self._protect(container)
-        self.sim.schedule_fast(self.config.push_check_interval,
-                               self._push_tick)
+        self.sim.schedule_at(self.sim.now + self.config.push_check_interval,
+                             self._push_tick)
 
     def _protect(self, container) -> None:
         """Replicate every local output held on an at-risk container."""
@@ -568,7 +568,7 @@ class PadoMaster(MasterBase):
         reserved-side bottleneck of §3.2.7 / Figure 8c)."""
         _, end = executor.cpu.reserve(self.sim.now,
                                       seconds * executor.cpu.bandwidth)
-        self.sim.schedule_at_fast(end, callback)
+        self.sim.schedule_at(end, callback)
 
     def _reserved_compute_done(self, task: _ReservedTask, attempt: int,
                                input_bytes: float) -> None:
@@ -1266,8 +1266,9 @@ class PadoMaster(MasterBase):
             run.pstage.index for run in self.stage_runs
             if run.status == _StageRun.DONE}
         if not self.completed:
-            self.sim.schedule_fast(self.config.progress_replication_interval,
-                                   self._snapshot_progress)
+            self.sim.schedule_at(
+                self.sim.now + self.config.progress_replication_interval,
+                self._snapshot_progress)
 
     def fail_master(self) -> None:
         """Simulate a master crash + restart from replicated metadata.

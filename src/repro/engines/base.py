@@ -269,7 +269,7 @@ class MasterBase:
 
     def _schedule_compute(self, task: TaskAttempt, seconds: float,
                           callback: Callable[[], None]) -> None:
-        self.sim.schedule_fast(seconds, callback)
+        self.sim.schedule_at(self.sim.now + seconds, callback)
 
     def _relaunch_lost(self, executor: SimExecutor, cause: str,
                        cause_ref: Optional[int] = None,

@@ -340,9 +340,9 @@ class SparkMaster(MasterBase):
             # Driver work serializes through the driver's single CPU.
             _, end = self.driver.cpu.reserve(
                 self.sim.now, seconds * self.driver.cpu.bandwidth)
-            self.sim.schedule_at_fast(end, callback)
+            self.sim.schedule_at(end, callback)
         else:
-            self.sim.schedule_fast(seconds, callback)
+            self.sim.schedule_at(self.sim.now + seconds, callback)
 
     def _compute_done(self, task: _SparkTask, attempt: int) -> None:
         if task.attempt != attempt or task.status != TaskState.COMPUTING:

@@ -15,7 +15,7 @@ def test_starts_at_time_zero():
 def test_runs_event_at_scheduled_time():
     sim = Simulator()
     fired = []
-    sim.schedule(5.0, lambda: fired.append(sim.now))
+    sim.schedule_at(5.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [5.0]
 
@@ -23,9 +23,9 @@ def test_runs_event_at_scheduled_time():
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(3.0, lambda: order.append("c"))
-    sim.schedule(1.0, lambda: order.append("a"))
-    sim.schedule(2.0, lambda: order.append("b"))
+    sim.schedule_at(3.0, lambda: order.append("c"))
+    sim.schedule_at(1.0, lambda: order.append("a"))
+    sim.schedule_at(2.0, lambda: order.append("b"))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -34,7 +34,7 @@ def test_same_time_events_fire_in_insertion_order():
     sim = Simulator()
     order = []
     for label in "abc":
-        sim.schedule(1.0, lambda lab=label: order.append(lab))
+        sim.schedule_at(1.0, lambda lab=label: order.append(lab))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -42,8 +42,8 @@ def test_same_time_events_fire_in_insertion_order():
 def test_priority_breaks_ties_before_insertion_order():
     sim = Simulator()
     order = []
-    sim.schedule(1.0, lambda: order.append("normal"), priority=0)
-    sim.schedule(1.0, lambda: order.append("urgent"), priority=-10)
+    sim.schedule_at(1.0, lambda: order.append("normal"), priority=0)
+    sim.schedule_at(1.0, lambda: order.append("urgent"), priority=-10)
     sim.run()
     assert order == ["urgent", "normal"]
 
@@ -51,15 +51,37 @@ def test_priority_breaks_ties_before_insertion_order():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-1.0, lambda: None)
+        sim.schedule_at(sim.now - 1.0, lambda: None)
 
 
 def test_schedule_at_past_rejected():
     sim = Simulator()
-    sim.schedule(5.0, lambda: None)
+    sim.schedule_at(5.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(1.0, lambda: None, seq=sim.take_seq())
+
+
+def test_nan_time_rejected():
+    # NaN compares False against everything, so a bare ``time < now``
+    # check let it through, and firing it set the clock to NaN.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None, seq=sim.take_seq())
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_infinite_time_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.inf, lambda: None)
+    assert sim.pending_events == 0
 
 
 def test_nested_scheduling_from_callback():
@@ -67,9 +89,9 @@ def test_nested_scheduling_from_callback():
     fired = []
 
     def first():
-        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.schedule_at(sim.now + 2.0, lambda: fired.append(sim.now))
 
-    sim.schedule(1.0, first)
+    sim.schedule_at(1.0, first)
     sim.run()
     assert fired == [3.0]
 
@@ -77,18 +99,18 @@ def test_nested_scheduling_from_callback():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
-    handle.cancel()
+    token = sim.schedule_at(1.0, lambda: fired.append(1))
+    sim.cancel(token)
     sim.run()
     assert fired == []
-    assert handle.cancelled
+    assert sim.cancelled_pending == sim.pending_events == 0
 
 
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(10.0, lambda: fired.append(2))
+    sim.schedule_at(1.0, lambda: fired.append(1))
+    sim.schedule_at(10.0, lambda: fired.append(2))
     sim.run(until=5.0)
     assert fired == [1]
     assert sim.now == 5.0
@@ -97,7 +119,7 @@ def test_run_until_stops_before_later_events():
 def test_run_until_resumes_cleanly():
     sim = Simulator()
     fired = []
-    sim.schedule(10.0, lambda: fired.append(2))
+    sim.schedule_at(10.0, lambda: fired.append(2))
     sim.run(until=5.0)
     sim.run()
     assert fired == [2]
@@ -108,9 +130,9 @@ def test_max_events_guard():
     sim = Simulator()
 
     def reschedule():
-        sim.schedule(1.0, reschedule)
+        sim.schedule_at(sim.now + 1.0, reschedule)
 
-    sim.schedule(1.0, reschedule)
+    sim.schedule_at(1.0, reschedule)
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
 
@@ -118,16 +140,16 @@ def test_max_events_guard():
 def test_peek_time():
     sim = Simulator()
     assert math.isinf(sim.peek_time())
-    handle = sim.schedule(4.0, lambda: None)
+    token = sim.schedule_at(4.0, lambda: None)
     assert sim.peek_time() == 4.0
-    handle.cancel()
+    sim.cancel(token)
     assert math.isinf(sim.peek_time())
 
 
 def test_events_processed_counter():
     sim = Simulator()
     for _ in range(7):
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 7
 
@@ -145,7 +167,7 @@ def test_run_until_advances_now_when_heap_drains_early():
     # drained before ``until``, but advanced to ``until`` when later
     # events existed; the two paths must agree.
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
     sim.run(until=5.0)
     assert sim.now == 5.0
 
@@ -158,72 +180,63 @@ def test_run_until_advances_now_on_empty_heap():
 
 def test_run_until_drained_matches_pending_path():
     drained = Simulator()
-    drained.schedule(1.0, lambda: None)
+    drained.schedule_at(1.0, lambda: None)
     drained.run(until=5.0)
     pending = Simulator()
-    pending.schedule(1.0, lambda: None)
-    pending.schedule(10.0, lambda: None)
+    pending.schedule_at(1.0, lambda: None)
+    pending.schedule_at(10.0, lambda: None)
     pending.run(until=5.0)
     assert drained.now == pending.now == 5.0
 
 
 def test_run_until_does_not_move_now_backwards():
     sim = Simulator()
-    sim.schedule(7.0, lambda: None)
+    sim.schedule_at(7.0, lambda: None)
     sim.run()
     sim.run(until=3.0)
     assert sim.now == 7.0
 
 
 # ----------------------------------------------------------------------
-# handle-free fast scheduling
+# one scheduling entry point: fresh and caller-provided seqs
 
 
-def test_schedule_fast_fires_in_order_with_regular_events():
+def test_fresh_and_taken_seqs_share_one_counter():
     sim = Simulator()
     order = []
-    sim.schedule(2.0, lambda: order.append("slow"))
-    sim.schedule_fast(1.0, lambda: order.append("fast"))
-    sim.schedule_at_fast(2.0, lambda: order.append("fast-at"), priority=-1)
-    sim.run()
-    assert order == ["fast", "fast-at", "slow"]
-
-
-def test_schedule_fast_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_fast(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_fast(math.nan, lambda: None)
-
-
-def test_schedule_at_fast_past_rejected():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at_fast(1.0, lambda: None)
-
-
-def test_fast_and_regular_share_sequence_numbers():
-    sim = Simulator()
-    order = []
-    sim.schedule_fast(1.0, lambda: order.append("a"))
-    sim.schedule(1.0, lambda: order.append("b"))
-    sim.schedule_fast(1.0, lambda: order.append("c"))
+    sim.schedule_at(1.0, lambda: order.append("a"))
+    taken = sim.take_seq()
+    sim.schedule_at(1.0, lambda: order.append("c"))
+    sim.schedule_at(1.0, lambda: order.append("b"), seq=taken)
     sim.run()
     assert order == ["a", "b", "c"]
 
 
+def test_head_sorts_before():
+    sim = Simulator()
+    assert not sim.head_sorts_before(5.0, 0)       # nothing queued
+    sim.schedule_at(5.0, lambda: None, seq=10)
+    assert sim.head_sorts_before(5.0, 11)          # same time, earlier seq
+    assert not sim.head_sorts_before(5.0, 9)
+    assert sim.head_sorts_before(6.0, 0)           # earlier time
+    assert not sim.head_sorts_before(4.0, 99)
+    urgent = Simulator()
+    urgent.schedule_at(5.0, lambda: None, priority=-1, seq=10)
+    assert urgent.head_sorts_before(5.0, 0)        # lower priority wins
+    late = Simulator()
+    late.schedule_at(5.0, lambda: None, priority=1, seq=0)
+    assert not late.head_sorts_before(5.0, 10)
+
+
 # ----------------------------------------------------------------------
-# cancellation tombstones and heap compaction
+# cancellation tombstones and compaction
 
 
 def test_cancel_is_idempotent_and_counts_once():
     sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    token = sim.schedule_at(1.0, lambda: None)
+    sim.cancel(token)
+    sim.cancel(token)
     assert sim.cancelled_pending == 1
     sim.run()
     assert sim.cancelled_pending == 0
@@ -232,26 +245,27 @@ def test_cancel_is_idempotent_and_counts_once():
 def test_cancel_after_fire_is_harmless():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
+    token = sim.schedule_at(1.0, lambda: fired.append(1))
     sim.run()
-    handle.cancel()
+    sim.cancel(token)
     assert fired == [1]
-    assert handle.cancelled  # the entry is tombstoned, but already fired
-    sim.schedule(1.0, lambda: fired.append(2))
+    assert sim.cancelled_pending == 0   # nothing queued is a tombstone
+    sim.schedule_at(sim.now + 1.0, lambda: fired.append(2))
     sim.run()
     assert fired == [1, 2]
 
 
 def test_mass_cancellation_compacts_the_heap():
-    # Regression: long Spark runs under high eviction cancel many timers;
-    # cancelled entries must not accumulate past the live-entry count.
+    # Cancelled entries must not accumulate past the live-entry count.
     sim = Simulator()
     fired = []
-    handles = [sim.schedule(100.0 + i, lambda: None) for i in range(300)]
+    tokens = [sim.schedule_at(1.0 + i * 0.1, lambda: None)
+              for i in range(300)]
     for i in range(100):
-        sim.schedule(500.0 + i, lambda i=i: fired.append(i))
-    for handle in handles:
-        handle.cancel()
+        sim.schedule_at(40.0 + i * 0.1, lambda i=i: fired.append(i))
+    assert sim._wheel_count == 0
+    for token in tokens:
+        sim.cancel(token)
     # Compaction keeps tombstones bounded by the live entries.
     assert sim.pending_events < 400
     assert sim.cancelled_pending * 2 <= sim.pending_events + 1
@@ -261,13 +275,45 @@ def test_mass_cancellation_compacts_the_heap():
     assert sim.pending_events == 0
 
 
+def test_mass_cancellation_compacts_the_wheel():
+    sim = Simulator()
+    fired = []
+    tokens = [sim.schedule_at(100.0 + i, lambda: None) for i in range(300)]
+    for i in range(100):
+        sim.schedule_at(500.0 + i, lambda i=i: fired.append(i))
+    assert len(sim._heap) == 0          # everything parked on the wheel
+    for token in tokens:
+        sim.cancel(token)
+        assert 0 <= sim.cancelled_pending <= sim.pending_events
+    assert sim.pending_events < 400
+    assert sim.cancelled_pending * 2 <= sim.pending_events + 1
+    sim.run()
+    assert fired == list(range(100))
+    assert sim.pending_events == sim.cancelled_pending == 0
+
+
+def test_cancel_on_the_wheel_keeps_counts_exact():
+    sim = Simulator()
+    fired = []
+    token = sim.schedule_at(500.0, lambda: fired.append("cancelled"))
+    sim.schedule_at(600.0, lambda: fired.append("live"))
+    assert sim._wheel_count == 2
+    sim.cancel(token)
+    assert (sim.cancelled_pending, sim.pending_events) == (1, 2)
+    sim.run(until=550.0)                # spills and drops the tombstone
+    assert (sim.cancelled_pending, sim.pending_events) == (0, 1)
+    sim.run()
+    assert fired == ["live"]
+    assert sim.cancelled_pending == sim.pending_events == 0
+
+
 def test_small_cancellation_storms_skip_compaction():
     # Below the compaction threshold nothing is rebuilt: entries are only
     # dropped lazily as they surface.
     sim = Simulator()
-    handles = [sim.schedule(10.0 + i, lambda: None) for i in range(20)]
-    for handle in handles:
-        handle.cancel()
+    tokens = [sim.schedule_at(10.0 + i, lambda: None) for i in range(20)]
+    for token in tokens:
+        sim.cancel(token)
     assert sim.pending_events == 20
     assert sim.cancelled_pending == 20
     sim.run()
@@ -282,7 +328,7 @@ def test_wheel_parks_far_future_events_off_the_heap():
     sim = Simulator()
     fired = []
     for i in range(10):
-        sim.schedule_wheel(1000.0 + i, lambda i=i: fired.append(i))
+        sim.schedule_at(1000.0 + i, lambda i=i: fired.append(i))
     assert sim.pending_events == 10
     assert len(sim._heap) == 0          # all parked in buckets
     sim.run()
@@ -292,44 +338,59 @@ def test_wheel_parks_far_future_events_off_the_heap():
 
 def test_wheel_near_term_delays_go_straight_to_heap():
     sim = Simulator()
-    sim.schedule_wheel(1.0, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
     assert len(sim._heap) == 1
     assert sim._wheel_count == 0
 
 
-def test_wheel_merge_preserves_time_priority_seq_order():
+def test_schedule_at_routes_far_future_to_wheel():
+    # Routing is by due time alone, with or without a caller-given seq;
+    # one bucket width out (64 s) is already far enough.
     sim = Simulator()
     fired = []
-    # Same timestamp reached three ways: wheel, heap fast path, and a
-    # handle-returning schedule. Insertion order must win the tie.
-    sim.schedule_wheel(200.0, lambda: fired.append("wheel"))
-    sim.schedule_fast(200.0, lambda: fired.append("fast"))
-    sim.schedule(200.0, lambda: fired.append("handle"))
-    sim.schedule_fast(200.0, lambda: fired.append("urgent"), priority=-1)
-    sim.run()
-    assert fired == ["urgent", "wheel", "fast", "handle"]
-
-
-def test_schedule_at_seq_routes_far_future_to_wheel():
-    sim = Simulator()
-    fired = []
-    seq = sim.take_seq()
-    sim.schedule_at_seq(500.0, seq, lambda: fired.append("far"))
-    assert sim._wheel_count == 1
-    near = sim.take_seq()
-    sim.schedule_at_seq(1.0, near, lambda: fired.append("near"))
+    sim.schedule_at(500.0, lambda: fired.append("far"), seq=sim.take_seq())
+    sim.schedule_at(64.0, lambda: fired.append("edge"))
+    assert sim._wheel_count == 2
+    sim.schedule_at(1.0, lambda: fired.append("near"), seq=sim.take_seq())
     assert len(sim._heap) == 1
     sim.run()
-    assert fired == ["near", "far"]
+    assert fired == ["near", "edge", "far"]
     assert sim.now == 500.0
 
 
-def test_wheel_rejects_negative_and_nan_delays():
+def test_wheel_merge_preserves_time_priority_seq_order():
+    # The same timestamp reached from the wheel and from the heap, under
+    # fresh and caller-given seqs: (time, priority, seq) must decide.
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_wheel(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_wheel(math.nan, lambda: None)
+    fired = []
+    early = sim.take_seq()
+    sim.schedule_at(200.0, lambda: fired.append("wheel"))
+    assert sim._wheel_count == 1
+
+    def near():
+        # 50 s out: these land on the heap while "wheel" is still parked.
+        sim.schedule_at(200.0, lambda: fired.append("heap"))
+        sim.schedule_at(200.0, lambda: fired.append("urgent"), priority=-1)
+        sim.schedule_at(200.0, lambda: fired.append("early"), seq=early)
+        assert sim._wheel_count == 1
+
+    sim.schedule_at(150.0, near)
+    sim.run()
+    assert fired == ["urgent", "early", "wheel", "heap"]
+
+
+def test_wheel_rejects_negative_and_nan_delays():
+    # Rejection does not depend on the route, and a rejected call takes
+    # no seq.
+    sim = Simulator()
+    sim.schedule_at(100.0, lambda: None)
+    sim.run()
+    for time in (sim.now - 1.0, math.nan):
+        for seq in (None, 7):
+            with pytest.raises(SimulationError):
+                sim.schedule_at(time, lambda: None, seq=seq)
+    assert sim.pending_events == 0
+    assert sim.take_seq() == 1
 
 
 def test_wheel_spills_before_equal_time_heap_event_pops():
@@ -338,8 +399,10 @@ def test_wheel_spills_before_equal_time_heap_event_pops():
     # seq (or lower priority) than the heap front.
     sim = Simulator()
     fired = []
-    sim.schedule_wheel(128.0, lambda: fired.append("bucketed"))
-    sim.schedule_at_fast(128.0, lambda: fired.append("heap"))
+    sim.schedule_at(128.0, lambda: fired.append("bucketed"))
+    assert sim._wheel_count == 1
+    sim.schedule_at(100.0, lambda: sim.schedule_at(
+        128.0, lambda: fired.append("heap")))
     # Bucket start (128.0 // 64 * 64 == 128.0) == heap front time.
     sim.run()
     assert fired == ["bucketed", "heap"]
@@ -348,14 +411,15 @@ def test_wheel_spills_before_equal_time_heap_event_pops():
 def test_wheel_events_interleave_with_dynamic_near_term_work():
     sim = Simulator()
     fired = []
-    sim.schedule_wheel(300.0, lambda: fired.append(("evict", sim.now)))
+    sim.schedule_at(300.0, lambda: fired.append(("evict", sim.now)))
 
     def tick():
         fired.append(("tick", sim.now))
         if sim.now < 400.0:
-            sim.schedule_fast(100.0, tick)
+            sim.schedule_at(sim.now + 50.0, tick)
 
-    sim.schedule_fast(100.0, tick)
+    sim.schedule_at(50.0, tick)
     sim.run()
-    assert fired == [("tick", 100.0), ("tick", 200.0), ("evict", 300.0),
-                     ("tick", 300.0), ("tick", 400.0)]
+    assert fired == [("tick", 50.0), ("tick", 100.0), ("tick", 150.0),
+                     ("tick", 200.0), ("tick", 250.0), ("evict", 300.0),
+                     ("tick", 300.0), ("tick", 350.0), ("tick", 400.0)]

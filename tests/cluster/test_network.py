@@ -73,7 +73,7 @@ def test_transfer_fails_if_source_evicted_midway():
     dst = make_endpoint()
     results = []
     net.transfer(src, dst, 100 * MB, results.append)  # takes 1 s
-    sim.schedule(0.5, lambda: src.container.evict(sim.now))
+    sim.schedule_at(0.5, lambda: src.container.evict(sim.now))
     sim.run()
     assert not results[0].ok
     assert net.transfers_failed == 1
@@ -172,8 +172,8 @@ def test_eviction_at_same_timestamp_beats_transfer_completion():
     src = make_endpoint(transient=True)
     results = []
     net.transfer(src, make_endpoint(), 100 * MB, results.append)  # ends 1.0
-    sim.schedule(1.0, lambda: src.container.evict(sim.now),
-                 priority=EVICTION_PRIORITY)
+    sim.schedule_at(1.0, lambda: src.container.evict(sim.now),
+                    priority=EVICTION_PRIORITY)
     sim.run()
     assert not results[0].ok
     assert net.transfers_failed == 1

@@ -91,7 +91,7 @@ def test_stable_store_failed_write_not_durable(env):
     src = ContainerEndpoint(container)
     outcomes = []
     store.write("x", 100 * MB, src, lambda r: outcomes.append(r.ok))
-    sim.schedule(1.0, lambda: container.evict(sim.now))
+    sim.schedule_at(1.0, lambda: container.evict(sim.now))
     sim.run()
     assert outcomes == [False]
     assert not store.has("x")

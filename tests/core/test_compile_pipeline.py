@@ -75,7 +75,7 @@ def test_eviction_fires_before_transfers_at_same_instant():
     dst = ContainerEndpoint(transient_container(1e9))
     outcomes = []
     net.transfer(src, dst, mb, lambda r: outcomes.append(r.ok))  # ends at 1.0
-    sim.schedule(1.0, lambda: src_container.evict(sim.now),
-                 priority=EVICTION_PRIORITY)
+    sim.schedule_at(1.0, lambda: src_container.evict(sim.now),
+                    priority=EVICTION_PRIORITY)
     sim.run()
     assert outcomes == [False]

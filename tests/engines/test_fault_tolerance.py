@@ -28,9 +28,9 @@ class FailingPadoEngine(PadoEngine):
                 alive = [e for e in master.reserved_executors if e.alive]
                 if len(alive) > 1:
                     ctx.rm.inject_failure(alive[0].container, replace=True)
-            ctx.sim.schedule(delay, fail)
+            ctx.sim.schedule_at(ctx.sim.now + delay, fail)
         for delay in self.master_failures:
-            ctx.sim.schedule(delay, master.fail_master)
+            ctx.sim.schedule_at(ctx.sim.now + delay, master.fail_master)
         return master
 
 

@@ -12,7 +12,7 @@ def test_events_observe_nondecreasing_time(delays):
     sim = Simulator()
     observed = []
     for delay in delays:
-        sim.schedule(delay, lambda: observed.append(sim.now))
+        sim.schedule_at(sim.now + delay, lambda: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
@@ -25,8 +25,8 @@ def test_priority_order_within_same_time(events):
     sim = Simulator()
     observed = []
     for delay, priority in events:
-        sim.schedule(delay, lambda d=delay, p=priority:
-                     observed.append((d, p)), priority=priority)
+        sim.schedule_at(sim.now + delay, lambda d=delay, p=priority:
+                        observed.append((d, p)), priority=priority)
     sim.run()
     # Within equal timestamps, priorities must be non-decreasing.
     for (t0, p0), (t1, p1) in zip(observed, observed[1:]):
@@ -47,11 +47,11 @@ def test_priority_order_within_same_time(events):
 def test_cancelled_events_never_fire(delays, data):
     sim = Simulator()
     fired = []
-    handles = [sim.schedule(d, lambda i=i: fired.append(i))
-               for i, d in enumerate(delays)]
+    tokens = [sim.schedule_at(sim.now + d, lambda i=i: fired.append(i))
+              for i, d in enumerate(delays)]
     to_cancel = data.draw(st.sets(st.integers(0, len(delays) - 1)))
     for i in to_cancel:
-        handles[i].cancel()
+        sim.cancel(tokens[i])
     sim.run()
     assert set(fired) == set(range(len(delays))) - to_cancel
 
@@ -63,7 +63,7 @@ def test_run_until_is_a_clean_pause(delays, cutoff):
     sim = Simulator()
     fired = []
     for d in delays:
-        sim.schedule(d, lambda d=d: fired.append(d))
+        sim.schedule_at(sim.now + d, lambda d=d: fired.append(d))
     sim.run(until=cutoff)
     assert all(d <= cutoff for d in fired)
     sim.run()

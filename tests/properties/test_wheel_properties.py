@@ -5,17 +5,19 @@ event in a bucket and spilling the bucket later is indistinguishable from
 pushing the event straight onto the heap: entries keep their
 ``(time, priority, seq)`` triple, and a bucket merges before anything at
 or past its start can pop. These tests drive two simulators through the
-*same* API-call sequence — one stock (wheel active), one with
-``_wheel_put`` rerouted to a plain heap push — and assert the observable
-behaviour is identical, including tombstoned handles and same-timestamp
-tie-breaks.
+*same* ``schedule_at``/``cancel`` call sequence — one stock (wheel
+active), one with ``_wheel_put`` rerouted to a plain heap push — and
+assert the observable behaviour is identical, including cancellations on
+either side of a spill, caller-given seqs and same-timestamp tie-breaks.
 """
 
 from heapq import heappush
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.cluster import events
 from repro.cluster.events import Simulator
 
 
@@ -34,44 +36,66 @@ _OPS = st.lists(
     st.tuples(
         _DELAYS,
         st.integers(-2, 2),                    # priority
-        st.sampled_from(["wheel", "fast", "at_seq", "handle"]),
-        st.booleans(),                         # cancel (handle ops only)
+        st.booleans(),                         # under a seq taken up front
+        st.one_of(st.none(), _DELAYS),         # cancel this much later
     ),
     max_size=60,
 )
 
 
-def _apply(sim: Simulator, ops, fired):
-    handles = []
-    for i, (delay, priority, kind, _cancel) in enumerate(ops):
+def _cancel_later(sim: Simulator, token: list, after) -> None:
+    """Cancel ``token`` right away (``after == 0``), from an event
+    ``after`` seconds from now (possibly once it has fired), or never."""
+    if after == 0.0:
+        sim.cancel(token)
+    elif after is not None:
+        sim.schedule_at(sim.now + after, lambda: sim.cancel(token))
+
+
+def _apply(sim: Simulator, ops, fired) -> None:
+    deferred = []
+    for i, (delay, priority, taken, after) in enumerate(ops):
         cb = (lambda s=sim, i=i: fired.append((s.now, i)))
-        if kind == "wheel":
-            sim.schedule_wheel(delay, cb, priority=priority)
-        elif kind == "fast":
-            sim.schedule_fast(delay, cb, priority=priority)
-        elif kind == "at_seq":
-            seq = sim.take_seq()
-            sim.schedule_at_seq(sim.now + delay, seq, cb, priority=priority)
+        if taken:
+            # Flow batching's pattern: take the seq now, schedule under
+            # it later, after events holding younger seqs.
+            deferred.append((sim.now + delay, cb, priority, sim.take_seq(),
+                             after))
         else:
-            handles.append((i, sim.schedule(delay, cb, priority=priority)))
-    for i, handle in handles:
-        if ops[i][3]:
-            handle.cancel()
+            token = sim.schedule_at(sim.now + delay, cb, priority=priority)
+            _cancel_later(sim, token, after)
+    for time, cb, priority, seq, after in deferred:
+        token = sim.schedule_at(time, cb, priority=priority, seq=seq)
+        _cancel_later(sim, token, after)
+
+
+def _counts(sim: Simulator) -> tuple:
+    assert 0 <= sim.cancelled_pending <= sim.pending_events
+    return (sim.now, sim.events_processed, sim.pending_events,
+            sim.cancelled_pending)
+
+
+def _drive(sim: Simulator, ops) -> tuple:
+    """Apply ``ops``, then step to the end: the fired order and the
+    counters after every step."""
+    fired = []
+    _apply(sim, ops, fired)
+    trail = [_counts(sim)]
+    while sim.step():
+        trail.append(_counts(sim))
+    trail.append(_counts(sim))
+    return fired, trail
 
 
 @settings(max_examples=200, deadline=None)
-@given(_OPS)
-def test_wheel_and_heap_fire_identically(ops):
-    ref, wheel = _heap_only(Simulator()), Simulator()
-    ref_fired, wheel_fired = [], []
-    _apply(ref, ops, ref_fired)
-    _apply(wheel, ops, wheel_fired)
-    ref.run()
-    wheel.run()
-    assert wheel_fired == ref_fired
-    assert wheel.events_processed == ref.events_processed
-    assert wheel.now == ref.now
-    assert wheel.pending_events == 0
+@given(_OPS, st.sampled_from([4, 64]))
+def test_wheel_and_heap_fire_identically(ops, compact_floor):
+    # A low compaction floor lets 60 ops compact the heap and the wheel.
+    with mock.patch.object(events, "_COMPACT_MIN_CANCELLED", compact_floor):
+        ref = _drive(_heap_only(Simulator()), ops)
+        wheel = _drive(Simulator(), ops)
+    assert wheel == ref
+    assert wheel[1][-1][2:] == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,15 +109,11 @@ def test_wheel_equivalence_with_dynamic_rescheduling(ops, followups):
         def fire(i, depth):
             fired.append((sim.now, i, depth))
             if depth < len(followups):
-                sim.schedule_wheel(followups[depth],
-                                   lambda: fire(i, depth + 1))
-        for i, (delay, priority, kind, _cancel) in enumerate(ops):
-            if kind == "wheel":
-                sim.schedule_wheel(delay, lambda i=i: fire(i, 0),
-                                   priority=priority)
-            else:
-                sim.schedule_fast(delay, lambda i=i: fire(i, 0),
-                                  priority=priority)
+                sim.schedule_at(sim.now + followups[depth],
+                                lambda: fire(i, depth + 1))
+        for i, (delay, priority, _taken, _after) in enumerate(ops):
+            sim.schedule_at(sim.now + delay, lambda i=i: fire(i, 0),
+                            priority=priority)
         sim.run()
         return fired
 
@@ -110,8 +130,9 @@ def test_wheel_respects_run_until(ops, cutoff):
     ref.run(until=cutoff)
     wheel.run(until=cutoff)
     assert wheel_fired == ref_fired
-    assert wheel.now == ref.now == cutoff
-    assert wheel.pending_events == ref.pending_events
+    assert _counts(wheel) == _counts(ref)
+    assert wheel.now == cutoff
     ref.run()
     wheel.run()
     assert wheel_fired == ref_fired
+    assert _counts(wheel) == _counts(ref)

@@ -84,3 +84,34 @@ def test_check_docs_parses_documented_cli_command_lines(tmp_path):
     assert len(problems) == 2, problems
     assert "line 6" in problems[0] and "--no-such-flag" in problems[0]
     assert "line 8" in problems[1] and "no-such-mode" in problems[1]
+
+
+def test_check_docs_parses_cli_usage_docstring(tmp_path):
+    """The usage block in the CLI module's docstring is linted too, with
+    its ``[...]`` optional-group brackets stripped."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("check_docs", SCRIPT)
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+
+    (tmp_path / "docs").mkdir()
+    main = tmp_path / "__main__.py"
+    main.write_text(
+        '"""Command-line entry point.\n'
+        "\n"
+        "Usage::\n"
+        "\n"
+        "    python -m repro fig5 [--scale 0.25] [--seed 11]\n"
+        "    python -m repro fig7 [--no-such-flag 3]\n"
+        '"""\n'
+        "\n"
+        "# python -m repro fig7 --not-in-the-docstring\n")
+    original = check_docs.REPO, check_docs.MAIN
+    try:
+        check_docs.REPO, check_docs.MAIN = tmp_path, main
+        problems = check_docs.check_cli_command_lines()
+    finally:
+        check_docs.REPO, check_docs.MAIN = original
+    assert len(problems) == 1, problems
+    assert problems[0].startswith("__main__.py line 6:")
+    assert "--no-such-flag" in problems[0]

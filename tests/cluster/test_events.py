@@ -59,9 +59,21 @@ def test_schedule_at_past_rejected():
     sim.schedule_at(5.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_at(1.0, lambda: None)
-    with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None, seq=sim.take_seq())
+
+
+def test_schedule_at_fast_past_rejected():
+    # schedule_at without seq= is the handle-free absolute-time path that
+    # schedule_at_fast used to be: a past time queues nothing and spends
+    # no tie-break number.
+    sim = Simulator()
+    sim.schedule_at(5.0, lambda: None)
+    sim.run()
+    next_seq = sim.take_seq() + 1
+    with pytest.raises(SimulationError):
+        sim.schedule_at(1.0, lambda: None)
+    assert sim.pending_events == 0
+    assert sim.take_seq() == next_seq
 
 
 def test_nan_time_rejected():
